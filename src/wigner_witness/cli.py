@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -484,12 +483,7 @@ def cmd_sweep(args) -> int:
     for vals in axis_values:
         points = [p + (v,) for p in points for v in vals]
 
-    workers = args.workers
-    if workers is None or workers <= 1:
-        rows = [work(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, points))
+    rows = [work(p) for p in points]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -628,8 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = subs.add_parser("sweep", help="run a config-driven grid or threshold sweep")
     sw.add_argument("--config", required=True, help="INI-style sweep description")
-    sw.add_argument("--workers", type=int, default=None,
-                    help="parallel grid evaluations (default 1)")
     sw.add_argument("--output", default=None, help="CSV path (default stdout)")
     sw.set_defaults(func=cmd_sweep)
 

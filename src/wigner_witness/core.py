@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product  # noqa: F401  (re-exported convenience for callers)
 
 import numpy as np
 

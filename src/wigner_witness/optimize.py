@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import FULL_PLANE, Region, SymplecticParam, Transform2, disk_union, symplectic_from_params
 from .criteria import CriterionReport, bell_chsh, criterion1, criterion2, criterion3, purity_s1
@@ -37,6 +36,16 @@ _OFFSET_SEEDS = (-1.0, 0.0, 1.0)
 _THETA_SEEDS = (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0)
 _TOP_K = 8
 _MAX_ITER = 200
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on first call.
+
+    The optimiser is the package's only scipy user, so importing the package,
+    and every CLI command that does not optimise, never loads scipy.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 class NotViolatedError(RuntimeError):

@@ -3,8 +3,10 @@
 Everything here works on dense numpy matrices in a photon-number basis
 truncated at `cutoff` levels per mode.  Two-mode operators use the kron
 convention mode A (x) mode B, so the composite index is m * cutoff + k for
-|m, k>.  These routines are deliberately direct (matrix exponentials, dense
-eigensolves) so they can arbitrate disagreements between faster engines.
+|m, k>.  These routines are deliberately direct (dense eigensolves) so they
+can arbitrate disagreements between faster engines.  The unitaries are
+exponentials of anti-Hermitian generators, computed exactly through the
+eigendecomposition of the Hermitian matrix i * generator.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh, expm
+from numpy.linalg import eigvalsh
 
 _TRACE_DEFICIT_LIMIT = 1e-6
 
@@ -88,6 +90,20 @@ def coherent_ket(alpha: complex, cutoff: int) -> np.ndarray:
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     amp = np.exp(-0.5 * abs(alpha) ** 2) * np.power(complex(alpha), n) / np.exp(0.5 * log_fact)
     return amp.astype(complex)
+
+
+def expm(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) for an anti-Hermitian generator, via eigh of i * gen.
+
+    Raises ValueError for any other input rather than return a wrong
+    exponential.
+    """
+    gen = np.asarray(gen, dtype=complex)
+    if np.linalg.norm(gen + gen.conj().T) > 1e-12 * np.linalg.norm(gen):
+        raise ValueError("expm needs an anti-Hermitian generator")
+    # gen = -i H with H = i gen Hermitian, so exp(gen) = V exp(-i w) V^dag.
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def displacement(alpha: complex, cutoff: int) -> np.ndarray:
@@ -188,9 +204,15 @@ def displaced_parity_point(rho: FockDensityMatrix, xi) -> float:
     return val / (2.0 * math.pi) ** 2
 
 
+def _read_only(op: np.ndarray) -> np.ndarray:
+    """Freeze an lru_cached operator: every caller shares the same array."""
+    op.flags.writeable = False
+    return op
+
+
 @lru_cache(maxsize=32)
 def pseudospin_z(cutoff: int) -> np.ndarray:
-    return parity(cutoff)
+    return _read_only(parity(cutoff))
 
 
 @lru_cache(maxsize=32)
@@ -201,7 +223,7 @@ def pseudospin_x(cutoff: int) -> np.ndarray:
     for m in range(0, cutoff, 2):
         op[m, m + 1] = 1.0
         op[m + 1, m] = 1.0
-    return op
+    return _read_only(op)
 
 
 @lru_cache(maxsize=32)
@@ -213,7 +235,7 @@ def pseudospin_y(cutoff: int) -> np.ndarray:
     for m in range(0, cutoff, 2):
         op[m + 1, m] = 1j
         op[m, m + 1] = -1j
-    return op
+    return _read_only(op)
 
 
 def _attenuator_amplitudes(eta: float, cutoff: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .core import FULL_PLANE, Region, Transform2, apply_transform, invert_transform
 from .oracle import FockDensityMatrix, destroy, expectation
@@ -144,24 +143,40 @@ def _mode_kernel(x: np.ndarray, p: np.ndarray, cutoff: int) -> np.ndarray:
     Row m*cutoff + n holds the Wigner transform of |m><n|; for m >= n it is
     (-1)^n sqrt(n!/m!) (x-ip)^(m-n) L_n^(m-n)(x^2+p^2) exp(-(x^2+p^2)/2) / 2pi
     and the (n, m) entry is its conjugate.
+
+    The normalised Laguerre factor g_n^d = (-1)^n sqrt(n!/(n+d)!) L_n^d(r^2),
+    times the envelope, is carried upward in n for every d = m - n at once by
+    the three-term recurrence
+    g_{n+1} = ((r^2 - 2n - 1 - d) g_n - sqrt(n (n+d)) g_{n-1}) / sqrt((n+1)(n+1+d)),
+    the iterative method of Johansson, Nation & Nori, CPC 184, 1234 (2013).
     """
     x = np.asarray(x, dtype=float).ravel()
     p = np.asarray(p, dtype=float).ravel()
     r2 = x * x + p * p
     envelope = np.exp(-0.5 * r2) / _TWO_PI
-    z_pow = [np.ones_like(x, dtype=complex)]
+    z_pow = np.empty((cutoff, x.size), dtype=complex)
+    z_pow[0] = 1.0
     z = x - 1j * p
-    for _ in range(1, cutoff):
-        z_pow.append(z_pow[-1] * z)
+    for k in range(1, cutoff):
+        z_pow[k] = z_pow[k - 1] * z
+    d = np.arange(cutoff, dtype=float)[:, None]
+    inv_sqrt_fact = np.array([1.0 / math.sqrt(math.factorial(k)) for k in range(cutoff)])
+    # g[d] holds g_n^d (times the envelope) for the d < cutoff - n still in range.
+    g_prev = np.zeros((cutoff, x.size))
+    g = inv_sqrt_fact[:, None] * envelope
     out = np.empty((cutoff * cutoff, x.size), dtype=complex)
-    for m in range(cutoff):
-        for n in range(m + 1):
-            d = m - n
-            pref = (-1.0) ** n * math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-            val = (pref * z_pow[d]) * (eval_genlaguerre(n, d, r2) * envelope)
-            out[m * cutoff + n] = val
-            if d:
-                out[n * cutoff + m] = np.conj(val)
+    for n in range(cutoff):
+        # Row (n + d, n) sits at n*(cutoff + 1) + d*cutoff, row (n, n + d) at
+        # n*(cutoff + 1) + d.
+        top = cutoff - n
+        vals = z_pow[:top] * g
+        start = n * (cutoff + 1)
+        out[start::cutoff][:top] = vals
+        out[start + 1:start + top] = np.conj(vals[1:])
+        dd = d[:top - 1]
+        g_next = ((r2 - (2 * n + 1) - dd) * g[:-1]
+                  - np.sqrt(n * (n + dd)) * g_prev[:-1]) / np.sqrt((n + 1) * (n + 1 + dd))
+        g_prev, g = g[:-1], g_next
     return out
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -173,6 +174,32 @@ def test_sweep_output_file_matches_stdout(tmp_path):
     out = tmp_path / "rows.csv"
     run_cli("sweep", "--config", str(cfg), "--output", str(out))
     assert out.read_text() == streamed
+
+
+def test_evaluate_and_oracle_never_import_scipy():
+    # scipy is the optimiser's lazy dependency; every other command must run
+    # on numpy alone so that a cold CLI call does not pay for importing it.
+    commands = [
+        ["evaluate", "--state", "tmsv", "--s", "0.5", "--criterion", "c1",
+         "--theta", str(math.pi / 4)],
+        ["oracle", "--state", "werner-phi+", "--epsilon", "0.5", "--ppt"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from wigner_witness.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    if code != 0:\n"
+        "        sys.exit(f'{argv} exited {code}')\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+    path = [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_bad_transform_exits_config_error():

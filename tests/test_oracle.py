@@ -7,7 +7,7 @@ from wigner_witness import CutoffTooSmallError, FockDensityMatrix
 from wigner_witness.oracle import (
     apply_amplifier_mode_a, apply_attenuator_mode_a, beam_splitter,
     beam_splitter_unitary, coherent_ket, create, destroy, displacement,
-    displaced_parity_point, expectation, fock_ket, min_eigenvalue, number,
+    displaced_parity_point, expectation, expm, fock_ket, min_eigenvalue, number,
     parity, partial_trace, partial_transpose, pseudospin_x, pseudospin_y,
     pseudospin_z, purity, tensor,
 )
@@ -54,6 +54,48 @@ def test_displacement_is_unitary_and_displaces_vacuum():
 def test_displacement_guard_rejects_large_amplitude():
     with pytest.raises(CutoffTooSmallError):
         displacement(3.0, 8)
+
+
+@pytest.mark.parametrize("cutoff", [2, 5, 12])
+@pytest.mark.parametrize("phase", [0.0, 0.9, 2.5, -1.7])
+def test_displacement_matches_scipy_expm_up_to_guard(cutoff, phase):
+    import scipy.linalg
+    a = destroy(cutoff)
+    for size in (0.1, 0.5, 0.999):
+        alpha = math.sqrt(size * cutoff / 4.0) * complex(math.cos(phase), math.sin(phase))
+        d = displacement(alpha, cutoff)
+        want = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+        assert np.max(np.abs(d - want)) <= 1e-12
+        assert np.max(np.abs(d @ d.conj().T - np.eye(cutoff))) <= 1e-12
+
+
+@pytest.mark.parametrize("cutoff", range(2, 13))
+def test_beam_splitter_unitary_matches_scipy_expm(cutoff):
+    import scipy.linalg
+    a = destroy(cutoff)
+    adag = a.conj().T
+    gen = np.kron(a, adag) - np.kron(adag, a)
+    for theta in (0.3, math.pi / 4, 1.2, -2.0):
+        u = beam_splitter_unitary(theta, cutoff)
+        assert np.max(np.abs(u - scipy.linalg.expm(theta * gen))) <= 1e-12
+        assert np.max(np.abs(u @ u.conj().T - np.eye(cutoff * cutoff))) <= 1e-12
+
+
+def test_expm_rejects_non_anti_hermitian_generator():
+    a = destroy(6)
+    with pytest.raises(ValueError):
+        expm(a + a.conj().T)
+    with pytest.raises(ValueError):
+        expm(a)
+
+
+def test_min_eigenvalue_matches_scipy_eigvalsh():
+    import scipy.linalg
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    herm = m + m.conj().T
+    assert min_eigenvalue(herm) == pytest.approx(scipy.linalg.eigvalsh(herm)[0],
+                                                 rel=1e-12, abs=1e-12)
 
 
 def test_beam_splitter_half_swaps_single_photon():
@@ -127,6 +169,13 @@ def test_pseudospin_algebra():
     np.testing.assert_allclose(sy @ sy, np.eye(n), atol=1e-12)
     np.testing.assert_allclose(sz @ sz, np.eye(n), atol=1e-12)
     np.testing.assert_allclose(sx @ sy, 1j * sz, atol=1e-12)
+
+
+def test_cached_pseudospin_operators_are_read_only():
+    for op in (pseudospin_x(8), pseudospin_y(8), pseudospin_z(8)):
+        with pytest.raises(ValueError):
+            op[0, 0] = 5.0
+    np.testing.assert_array_equal(np.diag(pseudospin_z(8)), [1, -1] * 4)
 
 
 def test_pseudospin_requires_even_cutoff():

@@ -115,3 +115,12 @@ def test_spec_validation():
         QuadratureSpec(order=2)
     with pytest.raises(ValueError):
         Box(0, 0, -1, 1)
+
+
+def test_cached_gauss_legendre_rule_is_read_only():
+    from wigner_witness.quadrature import _leggauss
+    nodes, weights = _leggauss(12)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert abs(weights.sum() - 2.0) < 1e-14

@@ -15,7 +15,7 @@ from wigner_witness.oracle import (
     fock_ket, partial_trace,
 )
 from wigner_witness.states import TmstParams
-from wigner_witness.wigner import single_mode_fock_wigner
+from wigner_witness.wigner import _mode_kernel, single_mode_fock_wigner
 
 
 TWO_PI = 2 * math.pi
@@ -35,6 +35,42 @@ def test_single_mode_kernel_calibration():
     for x, p in ((1.0, 0.0), (0.3, -1.2), (2.0, 2.0)):
         want = math.exp(-0.5 * (x * x + p * p)) / TWO_PI
         assert abs(w(x, p) - want) < 1e-12
+
+
+def _reference_mode_kernel(x, p, cutoff):
+    """Closed form of every |m><n| kernel row from scipy's Laguerre polynomials."""
+    from scipy.special import eval_genlaguerre, gammaln
+    r2 = x * x + p * p
+    z = x - 1j * p
+    envelope = np.exp(-0.5 * r2) / TWO_PI
+    out = np.empty((cutoff * cutoff, x.size), dtype=complex)
+    for m in range(cutoff):
+        for n in range(m + 1):
+            d = m - n
+            pref = (-1.0) ** n * math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+            val = pref * z ** d * eval_genlaguerre(n, d, r2) * envelope
+            out[m * cutoff + n] = val
+            out[n * cutoff + m] = np.conj(val)
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [6, 16, 30])
+def test_mode_kernel_recurrence_matches_laguerre_closed_form(cutoff):
+    axis = np.linspace(-12.0, 12.0, 61)
+    x, p = (g.ravel() for g in np.meshgrid(axis, axis))
+    got = _mode_kernel(x, p, cutoff)
+    want = _reference_mode_kernel(x, p, cutoff)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_mode_kernel_far_points_are_finite_zeros():
+    # r ~ 150 lies outside every envelope: the Laguerre factor is huge there,
+    # but the kernel must underflow to zero, not produce inf * 0 = NaN.
+    x = np.array([150.0, 0.0, -106.0, 120.0])
+    p = np.array([0.0, -150.0, 106.0, 90.0])
+    kern = _mode_kernel(x, p, 30)
+    assert np.all(np.isfinite(kern))
+    assert np.all(kern == 0.0)
 
 
 def test_single_photon_kernel_negative_at_origin():
