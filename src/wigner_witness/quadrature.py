@@ -1,7 +1,10 @@
 """2-D quadrature over truncated boxes, rectangles and disk unions.
 
-Integrands are callables f(x, p) that accept equal-shape numpy arrays and
-return an array of values.  Full-plane integrals are truncated to a box
+Integrands are pointwise callables f(x, p): each rule hands them equal-shape
+1-D arrays of at most _BLOCK nodes and reads back one value per node.  Rules
+build their nodes block by block and reduce the values exactly as one call on
+the whole grid would, so memory per integral is bounded by the block size and
+results do not depend on it.  Full-plane integrals are truncated to a box
 supplied by the caller (criteria derive it from the field envelope); the
 reported error_estimate is the difference between the requested order and a
 coarser rule, so doubling the order should move the value by less than it.
@@ -16,6 +19,10 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FULL_PLANE, Region
+
+# Nodes per integrand call: 64 KiB per float64 array, so a block's
+# temporaries stay in cache however large the rule's grid is.
+_BLOCK = 8192
 
 
 class NonConvergenceError(RuntimeError):
@@ -59,6 +66,9 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if self.order < 4:
             raise ValueError("quadrature order must be at least 4")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"quadrature tolerance must be finite and positive, "
+                             f"got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -83,11 +93,44 @@ def _axis_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (x + 1.0), half * w
 
 
+def _fill(f, vals: np.ndarray, nodes) -> None:
+    """Set vals[rows, cols] = f(*nodes(rows, cols)), one block per call.
+
+    A block is whole rows of vals, or part of one row when a row alone
+    exceeds _BLOCK, so no call sees more than _BLOCK nodes.
+    """
+    n_rows, n_cols = vals.shape
+    row_step = max(1, _BLOCK // n_cols)
+    col_step = min(n_cols, _BLOCK)
+    for r0 in range(0, n_rows, row_step):
+        rows = slice(r0, min(r0 + row_step, n_rows))
+        for c0 in range(0, n_cols, col_step):
+            cols = slice(c0, min(c0 + col_step, n_cols))
+            block = vals[rows, cols]
+            block[...] = np.asarray(f(*nodes(rows, cols)), dtype=float).reshape(block.shape)
+
+
+def _cell_nodes(xs: np.ndarray, ps: np.ndarray):
+    """Nodes of a stack of tensor grids, one per row pair of xs, ps (cells, m).
+
+    Row r of the value grid is cell r // m at x node r % m; its columns run
+    over that cell's p nodes.
+    """
+    m = xs.shape[1]
+    flat_x = xs.ravel()
+
+    def nodes(rows: slice, cols: slice):
+        p = ps[np.arange(rows.start, rows.stop) // m, cols]
+        return np.repeat(flat_x[rows], p.shape[1]), p.ravel()
+
+    return nodes
+
+
 def _tensor_box(f, box: Box, order: int) -> tuple[float, int, np.ndarray]:
     xn, xw = _axis_nodes(box.cx - box.hx, box.cx + box.hx, order)
     pn, pw = _axis_nodes(box.cp - box.hp, box.cp + box.hp, order)
-    xs, ps = np.meshgrid(xn, pn, indexing="ij")
-    vals = np.asarray(f(xs.ravel(), ps.ravel()), dtype=float).reshape(order, order)
+    vals = np.empty((order, order))
+    _fill(f, vals, _cell_nodes(xn[None, :], pn[None, :]))
     value = float(xw @ vals @ pw)
     return value, order * order, vals
 
@@ -96,28 +139,34 @@ def _err_floor(value: float) -> float:
     return 1e-13 * (1.0 + abs(value))
 
 
-def _tensor_with_refinement(f, box: Box, order: int) -> tuple[IntegralResult, np.ndarray]:
+def _tensor_with_refinement(f, box: Box, order: int) -> IntegralResult:
     # Gauss-Legendre converges geometrically on these integrands, so one rung
     # down (3/4 of the order) still bounds the residual; half the order sits
     # below the resolution knee of wide boxes and overstates it by orders.
     coarse_order = max(4, (3 * order) // 4)
     coarse, n1, _ = _tensor_box(f, box, coarse_order)
-    fine, n2, vals = _tensor_box(f, box, order)
+    fine, n2, _ = _tensor_box(f, box, order)
     err = max(abs(fine - coarse), _err_floor(fine))
-    return IntegralResult(fine, err, n1 + n2), vals
+    return IntegralResult(fine, err, n1 + n2)
 
 
 def _wave_rule(f, cells: np.ndarray, order: int) -> np.ndarray:
-    # cells: (n, 4) rows of (cx, cp, hx, hp).  One f() call per wave, not per
-    # cell, because the integrand dominates the cost on oscillatory fields.
+    # cells: (n, 4) rows of (cx, cp, hx, hp).  Whole cells share f() blocks,
+    # not one call per cell: the integrand's per-call overhead would dominate
+    # at order * order nodes.  Each block is reduced before the next is
+    # built, so a wave of thousands of cells holds one block of values.
     xg, wg = _leggauss(order)
     xs = cells[:, 0:1] + cells[:, 2:3] * xg          # (n, order)
     ps = cells[:, 1:2] + cells[:, 3:4] * xg
-    gx = np.repeat(xs[:, :, None], order, axis=2)
-    gp = np.repeat(ps[:, None, :], order, axis=1)
-    vals = np.asarray(f(gx.ravel(), gp.ravel()), dtype=float).reshape(-1, order, order)
     w2 = np.outer(wg, wg)
-    return np.einsum('cij,ij->c', vals, w2) * cells[:, 2] * cells[:, 3]
+    per_block = max(1, _BLOCK // (order * order))
+    sums = np.empty(cells.shape[0])
+    for c0 in range(0, cells.shape[0], per_block):
+        block = slice(c0, c0 + per_block)
+        vals = np.empty((xs[block].shape[0], order, order))
+        _fill(f, vals.reshape(-1, order), _cell_nodes(xs[block], ps[block]))
+        sums[block] = np.einsum('cij,ij->c', vals, w2)
+    return sums * cells[:, 2] * cells[:, 3]
 
 
 def _adaptive_box(f, box: Box, tolerance: float,
@@ -173,9 +222,14 @@ def _polar_disk(f, cx: float, cp: float, radius: float,
     un, uw = _axis_nodes(0.0, 1.0, n_r)
     an, aw = _axis_nodes(0.0, 2.0 * math.pi, n_phi)
     r = radius * np.sqrt(un)
-    xs = cx + np.outer(r, np.cos(an))
-    ps = cp + np.outer(r, np.sin(an))
-    vals = np.asarray(f(xs.ravel(), ps.ravel()), dtype=float).reshape(n_r, n_phi)
+    cos_a, sin_a = np.cos(an), np.sin(an)
+
+    def nodes(rows: slice, cols: slice):
+        return ((cx + np.outer(r[rows], cos_a[cols])).ravel(),
+                (cp + np.outer(r[rows], sin_a[cols])).ravel())
+
+    vals = np.empty((n_r, n_phi))
+    _fill(f, vals, nodes)
     value = 0.5 * radius * radius * float(uw @ vals @ aw)
     return value, n_r * n_phi
 
@@ -214,15 +268,23 @@ def _disk_union(f, disks, order: int) -> IntegralResult:
     def masked(n: int) -> tuple[float, int]:
         xs = np.linspace(x_lo, x_hi, n, endpoint=False) + (x_hi - x_lo) / (2 * n)
         ps = np.linspace(p_lo, p_hi, n, endpoint=False) + (p_hi - p_lo) / (2 * n)
-        gx, gp = np.meshgrid(xs, ps, indexing="ij")
-        mask = np.zeros(gx.shape, dtype=bool)
-        for cx, cp, radius in disks:
-            mask |= (gx - cx) ** 2 + (gp - cp) ** 2 <= radius * radius
-        vals = np.zeros(gx.shape)
-        if mask.any():
-            vals[mask] = f(gx[mask], gp[mask])
+        inside = 0
+
+        def on_union(x, p):
+            nonlocal inside
+            mask = np.zeros(x.shape, dtype=bool)
+            for cx, cp, radius in disks:
+                mask |= (x - cx) ** 2 + (p - cp) ** 2 <= radius * radius
+            out = np.zeros(x.shape)
+            if mask.any():
+                out[mask] = f(x[mask], p[mask])
+                inside += int(mask.sum())
+            return out
+
+        vals = np.empty((n, n))
+        _fill(on_union, vals, _cell_nodes(xs[None, :], ps[None, :]))
         cell = (x_hi - x_lo) * (p_hi - p_lo) / (n * n)
-        return float(vals.sum() * cell), int(mask.sum())
+        return float(vals.sum() * cell), inside
 
     n = max(128, 4 * order)
     coarse, n1 = masked(n // 2)
@@ -259,8 +321,7 @@ def integrate(f, region: Region = FULL_PLANE,
     box = _box_for(region, spec)
     if spec.rule == "adaptive-subdivision":
         return _adaptive_box(f, box, spec.tolerance)
-    result, _ = _tensor_with_refinement(f, box, spec.order)
-    return result
+    return _tensor_with_refinement(f, box, spec.order)
 
 
 def integrate_abs(f, region: Region = FULL_PLANE,
@@ -287,6 +348,6 @@ def integrate_abs(f, region: Region = FULL_PLANE,
         result = _adaptive_box(absf, box, spec.tolerance)
         return IntegralResult(result.value, result.error_estimate,
                               result.evaluations + probe_order * probe_order)
-    result, _ = _tensor_with_refinement(absf, box, spec.order)
+    result = _tensor_with_refinement(absf, box, spec.order)
     return IntegralResult(result.value, result.error_estimate,
                           result.evaluations + probe_order * probe_order)

@@ -235,6 +235,15 @@ def test_stalled_quadrature_exits_nonconvergence():
     assert "converge" in proc.stderr
 
 
+def test_nan_tolerance_exits_config_error():
+    # nan would make the adaptive stop test never fire and report unverified
+    proc = run_cli("evaluate", "--state", "cat-minus", "--gamma", "1", "--epsilon", "0.5",
+                   "--criterion", "c2", "--transform", "p-reflect",
+                   "--theta", "0.785", "--tolerance", "nan", check=False)
+    assert proc.returncode == 2
+    assert "tolerance" in proc.stderr
+
+
 def test_truncated_state_exits_cutoff_error():
     proc = run_cli("evaluate", "--state", "tmsv", "--s", "2.0",
                    "--criterion", "purity", "--theta", "0.3",

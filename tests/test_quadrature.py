@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wigner_witness import (
-    Box, FULL_PLANE, IntegralResult, NonConvergenceError, QuadratureSpec,
-    disk_union, integrate, integrate_abs, rectangle,
+    Box, CatParams, FULL_PLANE, IntegralResult, NonConvergenceError, P_REFLECT,
+    QuadratureSpec, cat_wigner, criterion2, disk_union, integrate, integrate_abs,
+    rectangle,
 )
+from wigner_witness.quadrature import _BLOCK, _wave_rule
 
 
 UNIT_GAUSS = lambda x, p: np.exp(-0.5 * (x * x + p * p)) / (2 * math.pi)
@@ -115,6 +118,10 @@ def test_spec_validation():
         QuadratureSpec(order=2)
     with pytest.raises(ValueError):
         Box(0, 0, -1, 1)
+    # a nan tolerance never trips the stall check; zero or below is never met
+    for bad in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError):
+            QuadratureSpec(tolerance=bad)
 
 
 def test_cached_gauss_legendre_rule_is_read_only():
@@ -124,3 +131,124 @@ def test_cached_gauss_legendre_rule_is_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert abs(weights.sum() - 2.0) < 1e-14
+
+
+class _Spy:
+    """Pointwise integrand that records the size of every call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+        self.shapes_ok = True
+
+    def __call__(self, x, p):
+        self.shapes_ok &= x.shape == p.shape and x.ndim == 1
+        self.sizes.append(x.size)
+        return self.f(x, p)
+
+
+def _check_blocks(spy, result):
+    assert spy.shapes_ok
+    assert max(spy.sizes) <= _BLOCK
+    assert sum(spy.sizes) == result.evaluations
+
+
+OSC = lambda x, p: np.cos(1.3 * x - 0.4 * p) * np.exp(-0.15 * (x * x + p * p))
+
+
+def _gl(lo, hi, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
+
+
+def test_tensor_rule_streams_blocks():
+    order = 150                       # 150^2 nodes: three blocks
+    spy = _Spy(OSC)
+    r = integrate(spy, spec=QuadratureSpec(order=order, box=Box(0.5, -0.5, 9, 8)))
+    _check_blocks(spy, r)
+    assert len(spy.sizes) > 2
+    xn, xw = _gl(-8.5, 9.5, order)
+    pn, pw = _gl(-8.5, 7.5, order)
+    gx, gp = np.meshgrid(xn, pn, indexing="ij")
+    vals = OSC(gx.ravel(), gp.ravel()).reshape(order, order)
+    assert r.value == float(xw @ vals @ pw)
+
+
+def test_adaptive_waves_stream_blocks():
+    spy = _Spy(OSC)
+    r = integrate(spy, spec=QuadratureSpec(rule="adaptive-subdivision", tolerance=1e-12,
+                                           box=Box(0, 0, 8, 8)))
+    _check_blocks(spy, r)
+    # the 16 x 16 rule on a wave of 64 cells fills two whole blocks
+    assert spy.sizes.count(_BLOCK) >= 2
+    # one wave against a single full-grid call
+    rng = np.random.default_rng(3)
+    cells = np.column_stack([rng.uniform(-4, 4, (300, 2)), rng.uniform(0.1, 1.0, (300, 2))])
+    order = 16
+    spy = _Spy(OSC)
+    sums = _wave_rule(spy, cells, order)
+    assert spy.shapes_ok and max(spy.sizes) <= _BLOCK and sum(spy.sizes) == 300 * order ** 2
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xs = cells[:, 0:1] + cells[:, 2:3] * xg
+    ps = cells[:, 1:2] + cells[:, 3:4] * xg
+    gx = np.repeat(xs[:, :, None], order, axis=2)
+    gp = np.repeat(ps[:, None, :], order, axis=1)
+    vals = OSC(gx.ravel(), gp.ravel()).reshape(-1, order, order)
+    ref = np.einsum("cij,ij->c", vals, np.outer(wg, wg)) * cells[:, 2] * cells[:, 3]
+    assert np.array_equal(sums, ref)
+
+
+def test_polar_disks_stream_blocks():
+    disks = ((-2.0, 0.5, 1.5), (2.5, -0.5, 2.0))
+    order = 160                       # 80 x 160 polar nodes per disk: two blocks
+    spy = _Spy(OSC)
+    r = integrate(spy, region=disk_union(*disks), spec=QuadratureSpec(order=order))
+    _check_blocks(spy, r)
+    n_r, n_phi = order // 2, order
+    un, uw = _gl(0.0, 1.0, n_r)
+    an, aw = _gl(0.0, 2.0 * math.pi, n_phi)
+    ref = 0.0
+    for cx, cp, radius in disks:
+        rr = radius * np.sqrt(un)
+        xs = cx + np.outer(rr, np.cos(an))
+        ps = cp + np.outer(rr, np.sin(an))
+        vals = OSC(xs.ravel(), ps.ravel()).reshape(n_r, n_phi)
+        ref += 0.5 * radius * radius * float(uw @ vals @ aw)
+    assert r.value == ref
+
+
+def test_masked_grid_streams_blocks():
+    disks = ((0.0, 0.0, 2.0), (1.0, 0.5, 1.5))
+    order = 40                        # 160 x 160 grid, about 13k nodes inside
+    spy = _Spy(OSC)
+    r = integrate(spy, region=disk_union(*disks), spec=QuadratureSpec(order=order))
+    _check_blocks(spy, r)
+    n = 4 * order
+    x_lo, x_hi, p_lo, p_hi = -2.0, 2.5, -2.0, 2.0
+    xs = np.linspace(x_lo, x_hi, n, endpoint=False) + (x_hi - x_lo) / (2 * n)
+    ps = np.linspace(p_lo, p_hi, n, endpoint=False) + (p_hi - p_lo) / (2 * n)
+    gx, gp = np.meshgrid(xs, ps, indexing="ij")
+    mask = np.zeros(gx.shape, dtype=bool)
+    for cx, cp, radius in disks:
+        mask |= (gx - cx) ** 2 + (gp - cp) ** 2 <= radius * radius
+    assert mask.sum() > _BLOCK
+    vals = np.zeros(gx.shape)
+    vals[mask] = OSC(gx[mask], gp[mask])
+    assert r.value == float(vals.sum() * ((x_hi - x_lo) * (p_hi - p_lo) / (n * n)))
+
+
+@pytest.mark.parametrize("region", [
+    FULL_PLANE,                                            # adaptive |W| waves
+    disk_union((0.5, 0.0, 2.0), (-0.5, 0.3, 2.0)),         # masked grid
+], ids=["full-plane", "overlapping-disks"])
+def test_c2_memory_is_bounded_by_blocks(region):
+    cat = cat_wigner(CatParams(gamma=0.6, epsilon=0.5, sign="minus"))
+    criterion2(cat, P_REFLECT, math.pi / 4, region)      # fill the lazy caches
+    tracemalloc.start()
+    try:
+        criterion2(cat, P_REFLECT, math.pi / 4, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
