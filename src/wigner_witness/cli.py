@@ -27,7 +27,8 @@ import time
 
 import numpy as np
 
-from .core import FULL_PLANE, PRESETS, Region, RegionError, Transform2, TransformError, disk_union, rectangle
+from .core import (FULL_PLANE, PRESETS, Region, RegionError, Transform2, TransformError,
+                   check_theta, disk_union, rectangle)
 from .criteria import (
     CriterionReport,
     bell_chsh,
@@ -54,7 +55,7 @@ from .states import (
     tmst_covariance,
     vacuum,
 )
-from .wigner import fock_wigner, gaussian_wigner
+from .wigner import fock_wigner
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,9 +131,11 @@ def _covariance_of(spec) -> GaussianTwoMode:
 def _field_of(spec, backend: str, cutoff: int | None):
     if backend == "fock":
         return fock_wigner(_fock_of(spec, cutoff))
-    if isinstance(spec, GaussianTwoMode):
-        return gaussian_wigner(spec)
-    return state_to_wigner(spec)
+    try:
+        return state_to_wigner(spec)
+    except ValueError as exc:
+        # In-range parameters can still overflow the envelope (cat gamma ~ 1e200).
+        raise ConfigError(str(exc)) from None
 
 
 def _fock_of(spec, cutoff: int | None) -> FockDensityMatrix:
@@ -144,6 +147,13 @@ def _fock_of(spec, cutoff: int | None) -> FockDensityMatrix:
 
 # ---------------------------------------------------------------------------
 # flag parsing helpers
+
+
+def _number(text, what: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{what}: cannot read {text!r} as {kind.__name__}") from None
 
 
 def parse_transform(text: str) -> Transform2:
@@ -191,9 +201,9 @@ def parse_region(text: str) -> Region:
 def _quad_spec(order, tolerance, rule) -> QuadratureSpec:
     kwargs = {}
     if order is not None:
-        kwargs["order"] = int(order)
+        kwargs["order"] = _number(order, "order", int)
     if tolerance is not None:
-        kwargs["tolerance"] = float(tolerance)
+        kwargs["tolerance"] = _number(tolerance, "tolerance")
     if rule is not None:
         kwargs["rule"] = rule
     try:
@@ -211,7 +221,7 @@ def parse_alphas(text: str) -> tuple[complex, ...]:
         bits = part.split(",")
         if len(bits) != 2:
             raise ConfigError(f"bad displacement {part!r}; want re,im")
-        out.append(complex(float(bits[0]), float(bits[1])))
+        out.append(complex(_number(bits[0], "--alphas"), _number(bits[1], "--alphas")))
     return tuple(out)
 
 
@@ -261,7 +271,7 @@ def cmd_evaluate(args) -> int:
             if args.theta == "optimize":
                 report = optimize_purity(w, quad)
             else:
-                report = purity_s1(w, _theta_value(args.theta), quad)
+                report = purity_s1(w, _theta_value(args.theta, exclude_degenerate=False), quad)
         elif args.transform == "optimize":
             result = optimize_criterion(w, crit.upper(), quad)
             report = result.report
@@ -286,13 +296,15 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _theta_value(raw) -> float:
+def _theta_value(raw, exclude_degenerate: bool = True) -> float:
     if raw is None:
         raise ConfigError("this criterion needs --theta (radians)")
+    theta = _number(raw, "theta")
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"--theta wants a number or 'optimize', got {raw!r}") from None
+        check_theta(theta, exclude_degenerate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +317,12 @@ def _parse_axis(text: str) -> list[float]:
         bits = text.split(":")
         if len(bits) != 3:
             raise ConfigError(f"grid axis wants lo:hi:count, got {text!r}")
-        lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
+        lo, hi = _number(bits[0], "grid axis"), _number(bits[1], "grid axis")
+        count = _number(bits[2], "grid axis count", int)
         if count < 1:
             raise ConfigError("grid axis count must be >= 1")
         return [float(v) for v in np.linspace(lo, hi, count)]
-    return [float(v) for v in text.split(",")]
+    return [_number(v, "grid axis") for v in text.split(",")]
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
@@ -370,7 +383,7 @@ def _sweep_point(family: str, base: dict, axes: list[str], values: tuple,
             continue
         if name in ("c1", "c2"):
             t = parse_transform(opts.get("transform", "p-reflect"))
-            theta = float(opts.get("theta", math.pi / 4.0))
+            theta = _theta_value(opts.get("theta", math.pi / 4.0))
             if name == "c1":
                 rep = criterion1(field(), t, theta, quad)
             else:
@@ -383,7 +396,8 @@ def _sweep_point(family: str, base: dict, axes: list[str], values: tuple,
             if opts.get("theta", "optimize") == "optimize":
                 rep = optimize_purity(field(), quad)
             else:
-                rep = purity_s1(field(), float(opts["theta"]), quad)
+                rep = purity_s1(field(), _theta_value(opts["theta"], exclude_degenerate=False),
+                                quad)
         elif name == "simon":
             rep = simon_check(_covariance_of(spec_obj))
         elif name == "duan":
@@ -404,8 +418,9 @@ def _threshold_point(family: str, base: dict, axes: list[str], values: tuple,
     params = dict(base)
     params.update(dict(zip(axes, values)))
     param_name = thr["param"]
-    lo0, hi0 = float(thr.get("lo", 0.0)), float(thr.get("hi", 1.0))
-    iters = int(thr.get("iters", 14))
+    lo0 = _number(thr.get("lo", 0.0), "threshold lo")
+    hi0 = _number(thr.get("hi", 1.0), "threshold hi")
+    iters = _number(thr.get("iters", 14), "threshold iters", int)
     row: list = [params[a] for a in axes]
 
     def violated(name: str, opts: dict, value: float) -> bool:
@@ -422,7 +437,7 @@ def _threshold_point(family: str, base: dict, axes: list[str], values: tuple,
             return ppt_check(state_to_fock(spec_obj, cutoff)).violated
         if name == "c1":
             t = parse_transform(opts.get("transform", "p-reflect"))
-            theta = float(opts.get("theta", math.pi / 4.0))
+            theta = _theta_value(opts.get("theta", math.pi / 4.0))
             return criterion1(state_to_wigner(spec_obj), t, theta, quad).violated
         raise ConfigError(f"threshold mode does not support criterion {name!r}")
 
@@ -449,8 +464,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"{args.config}: [state] needs a family entry")
     cutoff = state_sec.pop("cutoff", None)
     if cutoff is not None:
-        cutoff = int(cutoff)
-    base = {k: float(v) for k, v in state_sec.items()}
+        cutoff = _number(cutoff, "[state] cutoff", int)
+    base = {k: _number(v, f"[state] {k}") for k, v in state_sec.items()}
     axes = list(parser["grid"].keys())
     axis_values = [_parse_axis(parser["grid"][a]) for a in axes]
     quad = _config_quad(parser)

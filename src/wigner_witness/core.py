@@ -24,7 +24,7 @@ class Transform2:
     """Affine map (x, p) -> (a*x + b*p + x0, c*x + d*p + p0) with |det| = 1.
 
     The matrix part (a, b; c, d) must have determinant +1 or -1; the offsets
-    (x0, p0) are unconstrained.
+    (x0, p0) may be any finite numbers.
     """
 
     a: float
@@ -38,6 +38,8 @@ class Transform2:
         det = self.a * self.d - self.b * self.c
         if not math.isfinite(det) or abs(abs(det) - 1.0) > _DET_TOL:
             raise TransformError(f"matrix determinant must be +-1, got {det!r}")
+        if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
+            raise TransformError(f"offsets must be finite, got ({self.x0!r}, {self.p0!r})")
 
     @property
     def det(self) -> float:
@@ -72,6 +74,14 @@ def invert_transform(t: Transform2) -> Transform2:
     ia, ib, ic, id_ = t.d / det, -t.b / det, -t.c / det, t.a / det
     return Transform2(ia, ib, ic, id_,
                       -(ia * t.x0 + ib * t.p0), -(ic * t.x0 + id_ * t.p0))
+
+
+def check_theta(theta: float, exclude_degenerate: bool = False) -> None:
+    """Raise ValueError unless 0 < theta < pi and, if asked, theta is off pi/2."""
+    if not 0.0 < theta < math.pi:
+        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
+    if exclude_degenerate and abs(math.sin(2.0 * theta)) < 1e-9:
+        raise ValueError("theta too close to pi/2: the slice loses one mode")
 
 
 def compose_transforms(outer: Transform2, inner: Transform2) -> Transform2:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FULL_PLANE, P_REFLECT, Region, Transform2
+from .core import FULL_PLANE, P_REFLECT, Region, Transform2, check_theta
 from .oracle import (
     FockDensityMatrix,
     beam_splitter_unitary,
@@ -41,7 +41,8 @@ from .oracle import (
     tensor,
 )
 from .quadrature import Box, QuadratureSpec, integrate
-from .wigner import WignerField, diagonal_slice, integrate_slice, make_slice, reduced_mode_wigner
+from .wigner import (SlicePlane, WignerField, diagonal_slice, integrate_slice, make_slice,
+                     reduced_mode_wigner, slice_plane)
 
 _TWO_PI = 2.0 * math.pi
 # Tr[rho D(Pi x Pi)D+] = (2 pi)^2 W(2 Re a_A, 2 Im a_A, ...) in this Wigner
@@ -88,31 +89,12 @@ def _err_floor(value: float) -> float:
     return 1e-13 * (1.0 + abs(value))
 
 
-# The optimizer evaluates the same mixture thousands of times with varying
-# slice geometry, so the per-component inverses are cached on the tuple.
-_PREC_CACHE: dict[int, tuple] = {}
-
-
-def _prepared_components(gaussians) -> list:
-    key = id(gaussians)
-    hit = _PREC_CACHE.get(key)
-    if hit is not None and hit[0] is gaussians:
-        return hit[1]
-    comps = []
-    for w, mu, cov in gaussians:
-        prec = np.linalg.inv(cov)
-        base = w / (_TWO_PI * math.sqrt(np.linalg.det(cov)))
-        comps.append((base, mu, prec))
-    if len(_PREC_CACHE) >= 32:
-        _PREC_CACHE.pop(next(iter(_PREC_CACHE)))
-    _PREC_CACHE[key] = (gaussians, comps)
-    return comps
-
-
-def _gaussian_line_integral(gaussians, c_mat: np.ndarray, d_vec: np.ndarray) -> float:
-    """Closed form of the plane integral of a Gaussian mixture along u -> C u + d."""
+def _gaussian_line_integral(w: WignerField, plane: SlicePlane) -> tuple[float, float]:
+    """Closed-form integral of a Gaussian mixture over the plane, with a rounding-level error."""
+    c_mat, d_vec = plane.matrix()
     total = 0.0
-    for base, mu, prec in _prepared_components(gaussians):
+    for (weight, mu, _), (prec, root_det) in zip(w.gaussians, w.precisions):
+        base = weight / (_TWO_PI * root_det)
         delta = d_vec - mu
         pc = prec @ c_mat
         pd = prec @ delta
@@ -124,22 +106,7 @@ def _gaussian_line_integral(gaussians, c_mat: np.ndarray, d_vec: np.ndarray) -> 
         v1 = c_mat[:, 1] @ pd
         quad = delta @ pd - (d * v0 * v0 - 2.0 * b * v0 * v1 + a * v1 * v1) / det_m1
         total += base * math.exp(-0.5 * quad) / math.sqrt(det_m1)
-    return total
-
-
-def _slice_c_matrix(t: Transform2, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    ct, st = math.cos(theta), math.sin(theta)
-    c_mat = np.array([[ct, 0.0], [0.0, ct],
-                      [st * t.a, st * t.b], [st * t.c, st * t.d]])
-    d_vec = np.array([0.0, 0.0, st * t.x0, st * t.p0])
-    return c_mat, d_vec
-
-
-def _check_theta(theta: float, exclude_degenerate: bool) -> None:
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
-    if exclude_degenerate and abs(math.sin(2.0 * theta)) < 1e-9:
-        raise ValueError("theta too close to pi/2: the slice loses one mode")
+    return total, _err_floor(total)
 
 
 def criterion1(w: WignerField, t: Transform2, theta: float,
@@ -149,12 +116,10 @@ def criterion1(w: WignerField, t: Transform2, theta: float,
     Gaussian-mixture fields are integrated in closed form; anything else goes
     through quadrature, and the error estimate follows the route taken.
     """
-    _check_theta(theta, exclude_degenerate=True)
+    check_theta(theta, exclude_degenerate=True)
     bound = 1.0 / _TWO_PI
     if w.gaussians is not None:
-        c_mat, d_vec = _slice_c_matrix(t, theta)
-        value = _gaussian_line_integral(w.gaussians, c_mat, d_vec)
-        err = _err_floor(value)
+        value, err = _gaussian_line_integral(w, slice_plane(t, theta))
     else:
         res = integrate_slice(make_slice(w, t, theta), spec)
         value, err = res.value, res.error_estimate
@@ -171,14 +136,12 @@ def criterion2(w: WignerField, t: Transform2, theta: float,
     the region is the full plane (the integrand is then nonnegative, so the
     absolute integral equals the signed one).
     """
-    _check_theta(theta, exclude_degenerate=True)
+    check_theta(theta, exclude_degenerate=True)
     bound = 1.0 / (_TWO_PI * abs(math.sin(2.0 * theta)))
     analytic = (w.gaussians is not None and region.kind == "full-plane"
                 and all(g[0] >= 0.0 for g in w.gaussians))
     if analytic:
-        c_mat, d_vec = _slice_c_matrix(t, theta)
-        value = _gaussian_line_integral(w.gaussians, c_mat, d_vec)
-        err = _err_floor(value)
+        value, err = _gaussian_line_integral(w, slice_plane(t, theta))
     else:
         res = integrate_slice(make_slice(w, t, theta), spec,
                               absolute=True, region=region)
@@ -192,11 +155,7 @@ def criterion3(w: WignerField, t: Transform2,
                spec: QuadratureSpec | None = None) -> CriterionReport:
     """Unscaled diagonal integral of W(x, p, t(x, p)); nonnegative if separable."""
     if w.gaussians is not None:
-        c_mat = np.array([[1.0, 0.0], [0.0, 1.0],
-                          [t.a, t.b], [t.c, t.d]])
-        d_vec = np.array([0.0, 0.0, t.x0, t.p0])
-        value = _gaussian_line_integral(w.gaussians, c_mat, d_vec)
-        err = _err_floor(value)
+        value, err = _gaussian_line_integral(w, SlicePlane(t))
     else:
         res = integrate_slice(diagonal_slice(w, t), spec)
         value, err = res.value, res.error_estimate
@@ -204,7 +163,7 @@ def criterion3(w: WignerField, t: Transform2,
                            transform=t, error_estimate=err)
 
 
-def _purity_gaussian(gaussians, theta: float) -> float:
+def _purity_gaussian(w: WignerField, theta: float) -> float:
     """4 pi times the squared integral of the reduced output-mode mixture.
 
     Each component reduces to a normalized single-mode Gaussian: integrating
@@ -218,14 +177,13 @@ def _purity_gaussian(gaussians, theta: float) -> float:
     a_mat = np.array([[st, 0.0], [0.0, st], [-ct, 0.0], [0.0, ct]])
     b_mat = np.array([[ct, 0.0], [0.0, ct], [st, 0.0], [0.0, -st]])
     comps = []
-    for w, mu, cov in gaussians:
-        prec = np.linalg.inv(cov)
+    for (weight, mu, _), (prec, _) in zip(w.gaussians, w.precisions):
         m1 = b_mat.T @ prec @ b_mat
         jt = prec - prec @ b_mat @ np.linalg.inv(m1) @ b_mat.T @ prec
         p_out = a_mat.T @ jt @ a_mat
         u_cov = np.linalg.inv(p_out)
         center = u_cov @ (a_mat.T @ jt @ mu)
-        comps.append((w, center, u_cov))
+        comps.append((weight, center, u_cov))
     total = 0.0
     for wi, ci, ui in comps:
         for wj, cj, uj in comps:
@@ -267,10 +225,9 @@ def purity_s1(w: WignerField, theta: float,
     backed by a density matrix go through exact Fock algebra, and closed-form
     fields fall back to a nested quadrature whose outer order is capped.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
+    check_theta(theta)
     if w.gaussians is not None:
-        value = _purity_gaussian(w.gaussians, theta)
+        value = _purity_gaussian(w, theta)
         err = _err_floor(value)
     elif w.rho is not None:
         value = _purity_fock(w.rho, theta)
@@ -287,7 +244,7 @@ def purity_s1(w: WignerField, theta: float,
         def integrand(x, p):
             xs, ps = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
             flat = np.empty(xs.size)
-            for i, (xi, pi) in enumerate(zip(xs.ravel(), ps.ravel())):
+            for i, (xi, pi) in enumerate(zip(xs.ravel().tolist(), ps.ravel().tolist())):
                 flat[i] = reduced(xi, pi) ** 2
             return flat.reshape(xs.shape)
 

@@ -59,6 +59,8 @@ class GaussianTwoMode:
 
 def standard_form(n: float, m: float, c1: float, c2: float) -> GaussianTwoMode:
     """Gaussian state with cov diag-blocks n*I, m*I and off-block diag(c1, c2)."""
+    if not all(math.isfinite(v) for v in (n, m, c1, c2)):
+        raise ValueError(f"standard-form entries must be finite, got {(n, m, c1, c2)!r}")
     v = np.array([
         [n, 0.0, c1, 0.0],
         [0.0, n, 0.0, c2],
@@ -90,12 +92,12 @@ class TmstParams:
     r: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError(f"squeezing must be nonnegative, got {self.s!r}")
+        if not 0.0 <= self.s < math.inf:
+            raise ValueError(f"squeezing must be finite and nonnegative, got {self.s!r}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"transmissivity must be in (0, 1], got {self.eta!r}")
-        if self.r < 0:
-            raise ValueError(f"gain parameter must be nonnegative, got {self.r!r}")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"gain parameter must be finite and nonnegative, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ class CatParams:
     sign: str = "plus"
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma!r}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon!r}")
         if self.sign not in ("plus", "minus"):

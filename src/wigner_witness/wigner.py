@@ -1,9 +1,11 @@
 """Wigner-field evaluation engines and transformed phase-space slices.
 
 A WignerField wraps a vectorized evaluator W(x_A, p_A, x_B, p_B) together
-with a Gaussian envelope used to truncate quadrature domains.  Slices fix
-mode A at (x cos(theta), p cos(theta)) and route mode B through a linear
-transform scaled by sin(theta); every criterion integrates such a slice.
+with a Gaussian envelope used to truncate quadrature domains.  Every slice
+criterion integrates W over an affine 2-plane u -> C u + d of phase space,
+and SlicePlane is that one geometry for all of them: it maps quadrature
+nodes to phase-space points, gives (C, d) to the closed-form integrals and
+derives the quadrature box from the envelope.
 
 Conventions: [x, p] = 2i, vacuum variance 1, so the vacuum Wigner function
 is exp(-(x^2+p^2)/2)/(2 pi) per mode and alpha = (x + i p)/2.
@@ -13,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import FULL_PLANE, Region, Transform2, apply_transform, invert_transform
+from .core import FULL_PLANE, Region, Transform2, apply_transform, check_theta, invert_transform
 from .oracle import FockDensityMatrix, destroy, expectation
 from .quadrature import Box, IntegralResult, QuadratureSpec, integrate, integrate_abs
 
@@ -36,8 +39,9 @@ class Envelope:
         c = np.asarray(self.center, dtype=float).reshape(4)
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
-        if not self.halfwidth > 0:
-            raise ValueError("envelope halfwidth must be positive")
+        if not (np.all(np.isfinite(c)) and math.isfinite(self.halfwidth) and self.halfwidth > 0):
+            raise ValueError("envelope needs a finite center and a finite positive "
+                             f"halfwidth, got {c!r} and {self.halfwidth!r}")
 
 
 @dataclass(frozen=True)
@@ -58,18 +62,26 @@ class WignerField:
     def __call__(self, x_a, p_a, x_b, p_b):
         return self.evaluate(x_a, p_a, x_b, p_b)
 
+    @cached_property
+    def precisions(self) -> tuple:
+        """(V^-1, sqrt(det V)) per Gaussian component, computed once per field."""
+        return tuple((np.linalg.inv(cov), math.sqrt(np.linalg.det(cov)))
+                     for _, _, cov in self.gaussians)
+
 
 @dataclass(frozen=True)
 class SliceField:
-    """Two-variable integrand of the slice criteria, with its quadrature box."""
+    """A field on a slice plane: the two-variable integrand and its quadrature box."""
 
-    evaluate: Callable[..., np.ndarray]
-    box: Box
-    theta: float | None
-    transform: Transform2
+    field: WignerField
+    plane: SlicePlane
 
-    def __call__(self, x, p):
-        return self.evaluate(x, p)
+    @cached_property
+    def box(self) -> Box:
+        return self.plane.box(self.field.envelope)
+
+    def evaluate(self, x, p):
+        return self.field.evaluate(*self.plane(x, p))
 
 
 def gaussian_wigner(state, cov=None) -> WignerField:
@@ -258,92 +270,94 @@ def _interval_intersection(first, second):
     return (lo, hi)
 
 
-def _scaled_interval(center: float, half: float, scale: float):
+def _scaled_interval(lo: float, hi: float, scale: float):
+    """Pre-image of [lo, hi] under v -> scale * v; None when the scale vanishes."""
     if abs(scale) < 1e-12:
         return None
-    lo, hi = (center - half) / scale, (center + half) / scale
+    lo, hi = lo / scale, hi / scale
     return (min(lo, hi), max(lo, hi))
 
 
-def _preimage_intervals(t: Transform2, x_int, p_int):
-    """Map axis intervals through the inverse transform, by interval arithmetic."""
-    inv = invert_transform(t)
-    cx, hx = 0.5 * (x_int[0] + x_int[1]), 0.5 * (x_int[1] - x_int[0])
-    cp, hp = 0.5 * (p_int[0] + p_int[1]), 0.5 * (p_int[1] - p_int[0])
-    ux = inv.a * cx + inv.b * cp + inv.x0
-    up = inv.c * cx + inv.d * cp + inv.p0
-    rx = abs(inv.a) * hx + abs(inv.b) * hp
-    rp = abs(inv.c) * hx + abs(inv.d) * hp
-    return (ux - rx, ux + rx), (up - rp, up + rp)
+_NO_SHIFT = (0.0, 0.0)
 
 
-def _slice_box(env: Envelope, t: Transform2, theta: float) -> Box:
-    ct, st = math.cos(theta), math.sin(theta)
-    l = env.halfwidth
-    c_a, c_b = env.center[:2], env.center[2:]
-    x_from_a = _scaled_interval(c_a[0], l, ct)
-    p_from_a = _scaled_interval(c_a[1], l, ct)
-    x_from_b = p_from_b = None
-    bx = _scaled_interval(c_b[0], l, st)
-    bp = _scaled_interval(c_b[1], l, st)
-    if bx is not None and bp is not None:
-        x_from_b, p_from_b = _preimage_intervals(t, bx, bp)
-    x_int = _interval_intersection(x_from_a, x_from_b) or (-l, l)
-    p_int = _interval_intersection(p_from_a, p_from_b) or (-l, l)
-    return Box(cx=0.5 * (x_int[0] + x_int[1]), cp=0.5 * (p_int[0] + p_int[1]),
-               hx=0.5 * (x_int[1] - x_int[0]), hp=0.5 * (p_int[1] - p_int[0]))
+def _scale_shift(x, p, scale: float, shift=_NO_SHIFT):
+    # Unit scales and zero shifts are skipped: each is a pass over the block.
+    if scale != 1.0:
+        x, p = scale * x, scale * p
+    if shift != _NO_SHIFT:
+        x, p = x + shift[0], p + shift[1]
+    return x, p
+
+
+class SlicePlane(NamedTuple):
+    """Affine 2-plane u -> (a_scale u + a_shift, out_scale t(b_scale u + b_shift)).
+
+    u = (x, p) are the integration variables; the first image pair is mode A
+    and the second mode B.  A NamedTuple because the optimiser builds one per
+    objective call.
+    """
+
+    t: Transform2
+    a_scale: float = 1.0
+    a_shift: tuple[float, float] = _NO_SHIFT
+    b_scale: float = 1.0
+    b_shift: tuple[float, float] = _NO_SHIFT
+    out_scale: float = 1.0
+
+    def __call__(self, x, p):
+        """Phase-space coordinates (x_A, p_A, x_B, p_B) of the plane at (x, p)."""
+        x, p = np.asarray(x, float), np.asarray(p, float)
+        xb, pb = apply_transform(self.t, *_scale_shift(x, p, self.b_scale, self.b_shift))
+        return (*_scale_shift(x, p, self.a_scale, self.a_shift),
+                *_scale_shift(xb, pb, self.out_scale))
+
+    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, d) with plane(u) = C u + d, the input of the closed-form integrals."""
+        t, a, (ax, ap), b, (bx, bp), out = self
+        s = out * b
+        c_mat = np.array([[a, 0.0], [0.0, a], [s * t.a, s * t.b], [s * t.c, s * t.d]])
+        d_vec = np.array([ax, ap, out * (t.a * bx + t.b * bp + t.x0),
+                          out * (t.c * bx + t.d * bp + t.p0)])
+        return c_mat, d_vec
+
+    def box(self, env: Envelope) -> Box:
+        """Quadrature box: the pre-image of the envelope hypercube, intersecting
+        per axis the intervals through mode A and (by interval arithmetic through
+        the inverse transform) mode B; a mode whose scale vanishes is skipped."""
+        l, c = env.halfwidth, env.center.tolist()
+        from_b = (None, None)
+        bx = _scaled_interval(c[2] - l, c[2] + l, self.out_scale)
+        bp = _scaled_interval(c[3] - l, c[3] + l, self.out_scale)
+        if bx is not None and bp is not None:
+            inv = invert_transform(self.t)
+            cx, hx = 0.5 * (bx[0] + bx[1]), 0.5 * (bx[1] - bx[0])
+            cp, hp = 0.5 * (bp[0] + bp[1]), 0.5 * (bp[1] - bp[0])
+            centers = (inv.a * cx + inv.b * cp + inv.x0, inv.c * cx + inv.d * cp + inv.p0)
+            halves = (abs(inv.a) * hx + abs(inv.b) * hp, abs(inv.c) * hx + abs(inv.d) * hp)
+            from_b = [_scaled_interval(u - r - s, u + r - s, self.b_scale)
+                      for u, r, s in zip(centers, halves, self.b_shift)]
+        (x_lo, x_hi), (p_lo, p_hi) = [
+            _interval_intersection(_scaled_interval(ck - s - l, ck - s + l, self.a_scale), b)
+            or (-l, l) for ck, s, b in zip(c, self.a_shift, from_b)]
+        return Box(cx=0.5 * (x_lo + x_hi), cp=0.5 * (p_lo + p_hi),
+                   hx=0.5 * (x_hi - x_lo), hp=0.5 * (p_hi - p_lo))
+
+
+def slice_plane(t: Transform2, theta: float) -> SlicePlane:
+    """Plane of criteria I and II: u -> (u cos theta, t(u) sin theta)."""
+    return SlicePlane(t, math.cos(theta), out_scale=math.sin(theta))
 
 
 def make_slice(field: WignerField, t: Transform2, theta: float) -> SliceField:
     """Integrand (x, p) -> W(x cos, p cos, x' sin, p' sin), (x', p') = t(x, p)."""
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
-    ct, st = math.cos(theta), math.sin(theta)
-
-    def evaluate(x, p):
-        xt, pt = apply_transform(t, x, p)
-        return field.evaluate(ct * np.asarray(x, float), ct * np.asarray(p, float),
-                              st * xt, st * pt)
-
-    return SliceField(evaluate=evaluate, box=_slice_box(field.envelope, t, theta),
-                      theta=theta, transform=t)
+    check_theta(theta)
+    return SliceField(field, slice_plane(t, theta))
 
 
 def diagonal_slice(field: WignerField, t: Transform2) -> SliceField:
     """Integrand (x, p) -> W(x, p, x', p') with (x', p') = t(x, p), unscaled."""
-    env = field.envelope
-    l = env.halfwidth
-    c_a, c_b = env.center[:2], env.center[2:]
-    bx, bp = _preimage_intervals(t, (c_b[0] - l, c_b[0] + l), (c_b[1] - l, c_b[1] + l))
-    x_int = _interval_intersection((c_a[0] - l, c_a[0] + l), bx) or (-l, l)
-    p_int = _interval_intersection((c_a[1] - l, c_a[1] + l), bp) or (-l, l)
-    box = Box(cx=0.5 * (x_int[0] + x_int[1]), cp=0.5 * (p_int[0] + p_int[1]),
-              hx=0.5 * (x_int[1] - x_int[0]), hp=0.5 * (p_int[1] - p_int[0]))
-
-    def evaluate(x, p):
-        xt, pt = apply_transform(t, x, p)
-        return field.evaluate(np.asarray(x, float), np.asarray(p, float), xt, pt)
-
-    return SliceField(evaluate=evaluate, box=box, theta=None, transform=t)
-
-
-def _reduced_box(env: Envelope, t: Transform2, theta: float,
-                 big_x: float, big_p: float) -> Box:
-    ct, st = math.cos(theta), math.sin(theta)
-    l = env.halfwidth
-    c_a, c_b = env.center[:2], env.center[2:]
-    x_from_a = _scaled_interval(c_a[0] - st * big_x, l, ct)
-    p_from_a = _scaled_interval(c_a[1] - st * big_p, l, ct)
-    x_from_b = p_from_b = None
-    if st > 1e-12:
-        u_int, v_int = _preimage_intervals(t, (c_b[0] - l, c_b[0] + l),
-                                           (c_b[1] - l, c_b[1] + l))
-        x_from_b = ((u_int[0] + ct * big_x) / st, (u_int[1] + ct * big_x) / st)
-        p_from_b = ((v_int[0] + ct * big_p) / st, (v_int[1] + ct * big_p) / st)
-    x_int = _interval_intersection(x_from_a, x_from_b) or (-l, l)
-    p_int = _interval_intersection(p_from_a, p_from_b) or (-l, l)
-    return Box(cx=0.5 * (x_int[0] + x_int[1]), cp=0.5 * (p_int[0] + p_int[1]),
-               hx=0.5 * (x_int[1] - x_int[0]), hp=0.5 * (p_int[1] - p_int[0]))
+    return SliceField(field, SlicePlane(t))
 
 
 def reduced_mode_wigner(field: WignerField, theta: float, t: Transform2,
@@ -356,22 +370,15 @@ def reduced_mode_wigner(field: WignerField, theta: float, t: Transform2,
     and t near -identity it is the summed-mode function whose value doubles
     the criterion-III integral.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta!r}")
+    check_theta(theta)
     ct, st = math.cos(theta), math.sin(theta)
     base = spec if spec is not None else QuadratureSpec()
 
     def field_fn(big_x: float, big_p: float) -> float:
-        def integrand(x, p):
-            xs = np.asarray(x, float)
-            ps = np.asarray(p, float)
-            xt, pt = apply_transform(t, st * xs - ct * big_x, st * ps - ct * big_p)
-            return field.evaluate(ct * xs + st * big_x, ct * ps + st * big_p, xt, pt)
-
-        use = base
-        if use.box is None:
-            use = replace(use, box=_reduced_box(field.envelope, t, theta, big_x, big_p))
-        return integrate(integrand, spec=use).value
+        # Only a plane and its box per call: nested purity calls this per outer node.
+        plane = SlicePlane(t, ct, (st * big_x, st * big_p), st, (-ct * big_x, -ct * big_p))
+        use = base if base.box is not None else replace(base, box=plane.box(field.envelope))
+        return integrate(lambda x, p: field.evaluate(*plane(x, p)), spec=use).value
 
     return field_fn
 

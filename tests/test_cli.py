@@ -256,3 +256,50 @@ def test_unknown_criterion_exits_config_error():
     proc = run_cli("evaluate", "--state", "tmsv", "--s", "0.5",
                    "--criterion", "entanglement", "--theta", "0.7", check=False)
     assert proc.returncode == 2
+
+
+_CAT_C1 = ("evaluate", "--state", "cat-plus", "--gamma", "1", "--epsilon", "0.5",
+           "--criterion", "c1", "--theta", "0.7")
+
+
+@pytest.mark.parametrize("argv", [
+    _CAT_C1 + ("--transform", "1,0,0,1,nan,0"),
+    _CAT_C1 + ("--gamma", "inf"),
+    _CAT_C1 + ("--gamma", "1e200"),         # finite, but the envelope overflows
+    _CAT_C1 + ("--gamma", "nan"),
+    _CAT_C1 + ("--theta", "4"),
+    _CAT_C1 + ("--theta", "nan"),
+    _CAT_C1 + ("--theta", "1.5707963267948966"),
+    ("evaluate", "--state", "tmsv", "--s", "nan", "--criterion", "c1", "--theta", "0.7"),
+    ("evaluate", "--state", "tmsv", "--s", "inf", "--criterion", "c1", "--theta", "0.7"),
+    ("evaluate", "--state", "tmst", "--s", "0.5", "--eta", "0.5", "--r", "nan",
+     "--criterion", "c1", "--theta", "0.7"),
+])
+def test_bad_evaluate_input_exits_config_error(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+_CAT_SWEEP = ("[sweep]\nmode = grid\n\n"
+              "[state]\nfamily = cat-plus\nepsilon = 0.5\n\n"
+              "[grid]\ngamma = 0.5:1:2\n\n"
+              "[criterion:c1]\ntheta = 0.7\n")
+
+
+@pytest.mark.parametrize("good, bad", [
+    ("gamma = 0.5:1:2", "gamma = 0.5:1:abc"),
+    ("epsilon = 0.5", "epsilon = oops"),
+    ("theta = 0.7", "theta = abc"),
+    ("theta = 0.7", "theta = 4"),
+])
+def test_bad_sweep_config_exits_config_error(tmp_path, good, bad):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_CAT_SWEEP.replace(good, bad))
+    proc = run_cli("sweep", "--config", str(cfg), check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -102,3 +102,9 @@ def test_region_to_dict_round_trips_values():
 def test_transform_is_frozen():
     with pytest.raises(Exception):
         IDENTITY.a = 2.0
+
+
+@pytest.mark.parametrize("x0, p0", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_transform_rejects_nonfinite_offsets(x0, p0):
+    with pytest.raises(TransformError):
+        Transform2(1.0, 0.0, 0.0, 1.0, x0, p0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wigner_witness import (
-    CatParams, CutoffTooSmallError, TmstParams, WernerParams, default_cutoff,
+    CatParams, CutoffTooSmallError, Envelope, TmstParams, WernerParams, default_cutoff,
     standard_form, state_to_fock, state_to_wigner, tmst_covariance,
     tmsv_covariance, vacuum,
 )
@@ -115,6 +115,23 @@ def test_param_validation():
         WernerParams(bell="phi-", epsilon=0.5)
     with pytest.raises(ValueError):
         WernerParams(bell="phi+", epsilon=1.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CatParams(gamma=math.inf, epsilon=0.5),
+    lambda: CatParams(gamma=math.nan, epsilon=0.5),
+    lambda: TmstParams(s=math.nan),
+    lambda: TmstParams(s=math.inf),
+    lambda: TmstParams(s=0.5, eta=0.5, r=math.nan),
+    lambda: standard_form(math.nan, 1.0, 0.0, 0.0),
+    lambda: standard_form(1.0, 1.0, math.inf, 0.0),
+    # finite parameters whose envelope half-width overflows
+    lambda: state_to_wigner(CatParams(gamma=1e200, epsilon=0.5)),
+    lambda: Envelope(center=[0.0, math.nan, 0.0, 0.0], halfwidth=1.0),
+])
+def test_nonfinite_parameters_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_default_cutoff_scales_and_is_even():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigner_witness import (
     Box, FULL_PLANE, IDENTITY, NEG_IDENTITY, P_REFLECT, QuadratureSpec,
@@ -14,8 +15,11 @@ from wigner_witness.oracle import (
     FockDensityMatrix, beam_splitter, coherent_ket, displaced_parity_point,
     fock_ket, partial_trace,
 )
+from wigner_witness.core import SymplecticParam, symplectic_from_params
 from wigner_witness.states import TmstParams
-from wigner_witness.wigner import _mode_kernel, single_mode_fock_wigner
+from wigner_witness.wigner import (
+    Envelope, SliceField, SlicePlane, _mode_kernel, single_mode_fock_wigner,
+)
 
 
 TWO_PI = 2 * math.pi
@@ -187,7 +191,7 @@ def test_diagonal_slice_evaluates_on_mapped_pairs():
     val = slc.evaluate(np.array([0.5]), np.array([-0.3]))[0]
     want = w.evaluate(0.5, -0.3, -0.5, 0.3)
     assert abs(val - want) < 1e-15
-    assert slc.theta is None
+    assert slc.plane == SlicePlane(NEG_IDENTITY)
 
 
 def test_envelope_shrinks_with_state_size():
@@ -199,3 +203,55 @@ def test_envelope_shrinks_with_state_size():
 def test_field_backend_labels():
     assert state_to_wigner(TmstParams(s=0.2)).backend == "gaussian"
     assert fock_wigner(state_to_fock(TmstParams(s=0.2), cutoff=16)).backend == "fock"
+
+
+# -- slice-plane properties --------------------------------------------------
+
+_PLANE_FIELD = mixture_wigner(
+    [gaussian_wigner(np.array([0.5, -0.3, 1.0, 0.2]), tmsv_covariance(0.4).cov),
+     gaussian_wigner(np.array([-1.0, 0.7, -0.4, 1.2]), 2.0 * np.eye(4))], [0.6, 0.4])
+_transforms = st.builds(
+    lambda phi1, phi2, t, reflect, x0, p0: symplectic_from_params(
+        SymplecticParam(phi1, phi2, t, reflect), x0, p0),
+    st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi), st.floats(0.4, 2.5),
+    st.booleans(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+_thetas = st.floats(0.05, math.pi - 0.05)
+_offsets = st.floats(-3.0, 3.0)
+
+
+def _three_slices(field, t, theta, big_x, big_p):
+    """The criterion I/II slice, the diagonal slice and a reduced-mode plane."""
+    ct, s_t = math.cos(theta), math.sin(theta)
+    reduced = SlicePlane(t, ct, (s_t * big_x, s_t * big_p), s_t, (-ct * big_x, -ct * big_p))
+    return (make_slice(field, t, theta), diagonal_slice(field, t),
+            SliceField(field, reduced))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_transforms, _thetas, _offsets, _offsets)
+def test_plane_matrix_reproduces_slice_values(t, theta, big_x, big_p):
+    rng = np.random.default_rng(0)
+    u = rng.uniform(-2.0, 2.0, size=(2, 16))
+    for slc in _three_slices(_PLANE_FIELD, t, theta, big_x, big_p):
+        c_mat, d_vec = slc.plane.matrix()
+        pts = c_mat @ u + d_vec[:, None]
+        want = _PLANE_FIELD.evaluate(*pts)
+        np.testing.assert_allclose(slc.evaluate(u[0], u[1]), want, rtol=1e-12, atol=0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_transforms, _thetas, _offsets, _offsets,
+       st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), st.floats(0.5, 6.0))
+def test_plane_box_holds_every_point_inside_the_envelope(t, theta, big_x, big_p,
+                                                         center, halfwidth):
+    env = Envelope(center=np.array(center), halfwidth=halfwidth)
+    for slc in _three_slices(_PLANE_FIELD, t, theta, big_x, big_p):
+        box = slc.plane.box(env)
+        xs = np.linspace(box.cx - 1.5 * box.hx, box.cx + 1.5 * box.hx, 61)
+        ps = np.linspace(box.cp - 1.5 * box.hp, box.cp + 1.5 * box.hp, 61)
+        gx, gp = np.meshgrid(xs, ps, indexing="ij")
+        image = np.stack(slc.plane(gx, gp))
+        inside = np.all(np.abs(image - env.center[:, None, None]) <= halfwidth, axis=0)
+        slack = 1e-9 * (1.0 + max(abs(box.cx), abs(box.cp), box.hx, box.hp))
+        assert np.all(np.abs(gx[inside] - box.cx) <= box.hx + slack)
+        assert np.all(np.abs(gp[inside] - box.cp) <= box.hp + slack)
