@@ -6,6 +6,14 @@ threshold search) and writes a CSV dataset, one row per grid point in
 row-major order.  `oracle` exposes the Fock-basis reference checks and the
 engine cross-validation.
 
+Two tables hold the dispatch.  `_FAMILIES` maps each state family to its
+parameter names and constructor.  `CRITERIA` maps each of the nine criterion
+names to a runner `(inputs, opts, quad) -> (CriterionReport, extra JSON keys)`;
+`evaluate`, `oracle`, grid sweeps and threshold sweeps all go through it, so
+every mode runs every criterion the same way.  The runners read the state from
+one lazy `_Inputs` object that builds the field, the Fock matrix and the
+covariance at most once each.
+
 Outputs are deterministic: JSON keys are sorted, CSV rows follow the grid
 order, and wall-clock timing is only included when --timing is passed, so
 re-running a command byte-reproduces its output file.
@@ -24,13 +32,13 @@ import json
 import math
 import sys
 import time
+from functools import cached_property
 
 import numpy as np
 
 from .core import (FULL_PLANE, PRESETS, Region, RegionError, Transform2, TransformError,
                    check_theta, disk_union, rectangle)
 from .criteria import (
-    CriterionReport,
     bell_chsh,
     criterion1,
     criterion2,
@@ -55,15 +63,12 @@ from .states import (
     tmst_covariance,
     vacuum,
 )
-from .wigner import fock_wigner
+from .wigner import WignerField, fock_wigner
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_CUTOFF = 4
-
-_FIELD_CRITERIA = ("c1", "c2", "c3", "purity")
-_GAUSSIAN_CRITERIA = ("simon", "duan")
 
 
 class ConfigError(ValueError):
@@ -73,76 +78,85 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # state construction
 
-
-def _state_param_names(family: str) -> tuple[str, ...]:
-    return {
-        "vacuum": (),
-        "tmsv": ("s",),
-        "tmst": ("s", "eta", "r"),
-        "werner-phi+": ("epsilon",),
-        "werner-psi+": ("epsilon",),
-        "cat-plus": ("gamma", "epsilon"),
-        "cat-minus": ("gamma", "epsilon"),
-        "gaussian": ("n", "m", "c1", "c2"),
-    }[family]
+# family -> (parameter names, constructor taking {name: float})
+_FAMILIES = {
+    "vacuum": ((), lambda p: vacuum()),
+    "tmsv": (("s",), lambda p: TmstParams(**p)),
+    "tmst": (("s", "eta", "r"), lambda p: TmstParams(**p)),
+    "werner-phi+": (("epsilon",), lambda p: WernerParams(bell="phi+", **p)),
+    "werner-psi+": (("epsilon",), lambda p: WernerParams(bell="psi+", **p)),
+    "cat-plus": (("gamma", "epsilon"), lambda p: CatParams(sign="plus", **p)),
+    "cat-minus": (("gamma", "epsilon"), lambda p: CatParams(sign="minus", **p)),
+    "gaussian": (("n", "m", "c1", "c2"), lambda p: standard_form(**p)),
+}
 
 
 def build_state(family: str, params: dict):
     """State spec object from a family name and its parameter dict."""
-    try:
-        names = _state_param_names(family)
-    except KeyError:
-        raise ConfigError(f"unknown state family {family!r}") from None
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown state family {family!r}")
+    names, make = _FAMILIES[family]
     missing = [k for k in names if params.get(k) is None]
     if missing:
         raise ConfigError(f"state {family!r} needs --{' --'.join(missing)}")
-    p = {k: float(params[k]) for k in names}
     try:
-        if family == "vacuum":
-            return vacuum()
-        if family == "tmsv":
-            return TmstParams(s=p["s"])
-        if family == "tmst":
-            return TmstParams(s=p["s"], eta=p["eta"], r=p["r"])
-        if family in ("werner-phi+", "werner-psi+"):
-            return WernerParams(bell=family.split("-")[1], epsilon=p["epsilon"])
-        if family in ("cat-plus", "cat-minus"):
-            return CatParams(gamma=p["gamma"], epsilon=p["epsilon"],
-                             sign=family.split("-")[1])
-        return standard_form(p["n"], p["m"], p["c1"], p["c2"])
+        return make({k: float(params[k]) for k in names})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _state_dict(family: str, params: dict) -> dict:
-    return {"family": family,
-            "params": {k: float(params[k]) for k in _state_param_names(family)}}
+class _Inputs:
+    """One state and the representations criteria read, each built at most once.
 
+    `backend="fock"` makes `field` the Wigner function of the truncated
+    density matrix instead of the family's natural field.
+    """
 
-def _covariance_of(spec) -> GaussianTwoMode:
-    if isinstance(spec, GaussianTwoMode):
-        return spec
-    if isinstance(spec, TmstParams):
-        return tmst_covariance(spec)
-    raise ConfigError("this criterion needs a Gaussian state "
-                      "(vacuum, tmsv, tmst or gaussian)")
+    def __init__(self, family: str, params: dict, backend: str = "default",
+                 cutoff: int | None = None):
+        self.spec = build_state(family, params)
+        self.state = {"family": family,
+                      "params": {k: float(params[k]) for k in _FAMILIES[family][0]}}
+        if cutoff is not None and cutoff < 1:
+            raise ConfigError(f"Fock cutoff must be at least 1, got {cutoff}")
+        self.backend, self.cutoff = backend, cutoff
+        self._fock: dict[int | None, FockDensityMatrix] = {}
 
+    @cached_property
+    def field(self) -> WignerField:
+        if self.backend == "fock":
+            return fock_wigner(self.fock())
+        try:
+            return state_to_wigner(self.spec)
+        except ValueError as exc:
+            # In-range parameters can still overflow the envelope (cat gamma ~ 1e200).
+            raise ConfigError(str(exc)) from None
 
-def _field_of(spec, backend: str, cutoff: int | None):
-    if backend == "fock":
-        return fock_wigner(_fock_of(spec, cutoff))
-    try:
-        return state_to_wigner(spec)
-    except ValueError as exc:
-        # In-range parameters can still overflow the envelope (cat gamma ~ 1e200).
-        raise ConfigError(str(exc)) from None
+    @cached_property
+    def cov(self) -> GaussianTwoMode:
+        if isinstance(self.spec, GaussianTwoMode):
+            return self.spec
+        if isinstance(self.spec, TmstParams):
+            try:
+                return tmst_covariance(self.spec)
+            except ValueError as exc:
+                # Large in-range s and r round the covariance into unphysical.
+                raise ConfigError(str(exc)) from None
+        raise ConfigError("this criterion needs a Gaussian state "
+                          "(vacuum, tmsv, tmst or gaussian)")
 
-
-def _fock_of(spec, cutoff: int | None) -> FockDensityMatrix:
-    if isinstance(spec, GaussianTwoMode):
-        raise ConfigError("explicit-covariance states have no Fock-basis form; "
-                          "use tmsv/tmst/werner/cat families")
-    return state_to_fock(spec, cutoff)
+    def fock(self, even: bool = False) -> FockDensityMatrix:
+        """Density matrix at the requested cutoff, rounded up to even if `even`
+        (the per-family default is always even)."""
+        cutoff = self.cutoff
+        if even and cutoff is not None:
+            cutoff += cutoff % 2
+        if cutoff not in self._fock:
+            if isinstance(self.spec, GaussianTwoMode):
+                raise ConfigError("explicit-covariance states have no Fock-basis form; "
+                                  "use tmsv/tmst/werner/cat families")
+            self._fock[cutoff] = state_to_fock(self.spec, cutoff)
+        return self._fock[cutoff]
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +168,17 @@ def _number(text, what: str, kind=float):
         return kind(text)
     except ValueError:
         raise ConfigError(f"{what}: cannot read {text!r} as {kind.__name__}") from None
+
+
+def _theta_value(raw, exclude_degenerate: bool = True) -> float:
+    if raw is None:
+        raise ConfigError("this criterion needs --theta (radians)")
+    theta = _number(raw, "theta")
+    try:
+        check_theta(theta, exclude_degenerate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return theta
 
 
 def parse_transform(text: str) -> Transform2:
@@ -226,11 +251,78 @@ def parse_alphas(text: str) -> tuple[complex, ...]:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# criterion table
 
 
-def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _slice_runner(which: str):
+    """C1, C2 or C3 at a fixed transform, or optimised over transform and theta."""
+    def run(inp: _Inputs, opts: dict, quad: QuadratureSpec | None):
+        w = inp.field
+        if opts["transform"] == "optimize":
+            result = optimize_criterion(w, which, quad)
+            p = result.best_param
+            return result.report, {"optimizer": {
+                "phi1": p.phi1, "phi2": p.phi2, "t": p.t, "reflect": p.reflect,
+                "restarts": result.restarts}}
+        t = parse_transform(opts["transform"])
+        if which == "C3":
+            return criterion3(w, t, quad), {}
+        if which == "C1":
+            return criterion1(w, t, _theta_value(opts["theta"]), quad), {}
+        region = parse_region(opts["region"])
+        return criterion2(w, t, _theta_value(opts["theta"]), region, quad), {}
+    return run
+
+
+def _run_purity(inp: _Inputs, opts: dict, quad: QuadratureSpec | None):
+    if opts["theta"] == "optimize":
+        return optimize_purity(inp.field, quad), {}
+    return purity_s1(inp.field, _theta_value(opts["theta"], exclude_degenerate=False),
+                     quad), {}
+
+
+def _run_bell(inp: _Inputs, opts: dict, quad: QuadratureSpec | None):
+    w = inp.field
+    if opts.get("optimize"):
+        _, alphas = maximize_bell(w)
+    elif opts.get("alphas") is not None:
+        alphas = parse_alphas(opts["alphas"])
+    else:
+        raise ConfigError("oracle --bell needs --alphas or --optimize")
+    return bell_chsh(w, alphas), {"alphas": [[a.real, a.imag] for a in alphas]}
+
+
+# name -> runner (inputs, opts, quad) -> (CriterionReport, extra JSON keys).  The
+# runners look the library functions up in this module's globals at call time,
+# so rebinding one of them here reaches every mode.
+CRITERIA = {
+    "c1": _slice_runner("C1"),
+    "c2": _slice_runner("C2"),
+    "c3": _slice_runner("C3"),
+    "purity": _run_purity,
+    "simon": lambda inp, opts, quad: (simon_check(inp.cov), {}),
+    "duan": lambda inp, opts, quad: (duan_check(inp.cov), {}),
+    "ppt": lambda inp, opts, quad: (ppt_check(inp.fock()), {}),
+    # the parity-block operators need an even number of levels
+    "pseudospin": lambda inp, opts, quad: (pseudospin_epr(inp.fock(even=True)), {}),
+    "bell": _run_bell,
+}
+
+# Config-section defaults; `evaluate` and `oracle` take theirs from argparse.
+_SWEEP_DEFAULTS = {
+    "c1": {"transform": "p-reflect", "theta": math.pi / 4.0},
+    "c2": {"transform": "p-reflect", "theta": math.pi / 4.0, "region": "full-plane"},
+    "c3": {"transform": "neg-identity"},
+    "purity": {"theta": "optimize"},
+    "bell": {"optimize": True},
+}
+
+
+# ---------------------------------------------------------------------------
+# evaluate and oracle
+
+
+def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -238,73 +330,54 @@ def _dump_json(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _report_payload(report: CriterionReport, state: dict,
-                    runtime_ms: float | None, extras: dict | None = None) -> dict:
-    payload = report.to_dict()
-    payload["state"] = state
-    payload["runtime_ms"] = runtime_ms
-    if extras:
-        payload.update(extras)
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# evaluate
-
-
-def cmd_evaluate(args) -> int:
-    params = {k: getattr(args, k) for k in
-              ("s", "eta", "r", "epsilon", "gamma", "n", "m", "c1", "c2")}
-    spec_obj = build_state(args.state, params)
-    state = _state_dict(args.state, params)
-    quad = _quad_spec(args.order, args.tolerance, args.rule)
-    crit = args.criterion
-    start = time.perf_counter()
-    extras: dict = {}
-
-    if crit in _GAUSSIAN_CRITERIA:
-        g = _covariance_of(spec_obj)
-        report = simon_check(g) if crit == "simon" else duan_check(g)
-    elif crit in _FIELD_CRITERIA:
-        w = _field_of(spec_obj, args.backend, args.cutoff)
-        if crit == "purity":
-            if args.theta == "optimize":
-                report = optimize_purity(w, quad)
-            else:
-                report = purity_s1(w, _theta_value(args.theta, exclude_degenerate=False), quad)
-        elif args.transform == "optimize":
-            result = optimize_criterion(w, crit.upper(), quad)
-            report = result.report
-            extras["optimizer"] = {
-                "phi1": result.best_param.phi1, "phi2": result.best_param.phi2,
-                "t": result.best_param.t, "reflect": result.best_param.reflect,
-                "restarts": result.restarts}
-        else:
-            t = parse_transform(args.transform)
-            if crit == "c3":
-                report = criterion3(w, t, quad)
-            elif crit == "c1":
-                report = criterion1(w, t, _theta_value(args.theta), quad)
-            else:
-                region = parse_region(args.region)
-                report = criterion2(w, t, _theta_value(args.theta), region, quad)
-    else:
-        raise ConfigError(f"unknown criterion {crit!r}")
-
-    runtime = (time.perf_counter() - start) * 1e3 if args.timing else None
-    _dump_json(_report_payload(report, state, runtime, extras), args.output)
+def _emit(payload: dict, args, start: float) -> int:
+    payload["runtime_ms"] = (time.perf_counter() - start) * 1e3 if args.timing else None
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     return EXIT_OK
 
 
-def _theta_value(raw, exclude_degenerate: bool = True) -> float:
-    if raw is None:
-        raise ConfigError("this criterion needs --theta (radians)")
-    theta = _number(raw, "theta")
-    try:
-        check_theta(theta, exclude_degenerate)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return theta
+def _run_report(args, name: str, inp: _Inputs, quad: QuadratureSpec | None) -> int:
+    start = time.perf_counter()
+    report, extras = CRITERIA[name](inp, vars(args), quad)
+    return _emit(dict(report.to_dict(), state=inp.state, **extras), args, start)
+
+
+def cmd_evaluate(args) -> int:
+    inp = _Inputs(args.state, vars(args), args.backend, args.cutoff)
+    quad = _quad_spec(args.order, args.tolerance, args.rule)
+    return _run_report(args, args.criterion, inp, quad)
+
+
+def cmd_oracle(args) -> int:
+    inp = _Inputs(args.state, vars(args), cutoff=args.cutoff)
+    if args.crosscheck_wigner:
+        start = time.perf_counter()
+        return _emit(_crosscheck(inp), args, start)
+    for name in ("ppt", "pseudospin", "bell"):
+        if getattr(args, name):
+            return _run_report(args, name, inp, None)
+    raise ConfigError("oracle wants one of --ppt, --pseudospin, --bell, "
+                      "--crosscheck-wigner")
+
+
+def _crosscheck(inp: _Inputs) -> dict:
+    reference = inp.field
+    fock_field = fock_wigner(inp.fock())
+    half = min(4.0, reference.envelope.halfwidth)
+    axis = np.linspace(-half, half, 5)
+    grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
+    ref_vals = reference.evaluate(*grids)
+    fock_vals = fock_field.evaluate(*grids)
+    disagreement = float(np.max(np.abs(ref_vals - fock_vals)))
+    return {
+        "check": "crosscheck-wigner",
+        "state": inp.state,
+        "cutoff": fock_field.rho.cutoff,
+        "grid_points": int(ref_vals.size),
+        "grid_halfwidth": half,
+        "max_disagreement": disagreement,
+        "passed": bool(disagreement < 1e-6),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -348,112 +421,34 @@ def _criterion_sections(parser: configparser.ConfigParser) -> list[tuple[str, di
     out = []
     for section in parser.sections():
         if section.startswith("criterion:"):
-            out.append((section.split(":", 1)[1], dict(parser[section])))
+            name = section.split(":", 1)[1]
+            if name not in CRITERIA:
+                raise ConfigError(f"unknown sweep criterion {name!r}")
+            opts = dict(_SWEEP_DEFAULTS.get(name, {}), **parser[section])
+            if opts.get("mode") == "optimize":
+                opts["transform"] = "optimize"
+            out.append((name, opts))
     if not out:
         raise ConfigError("config declares no [criterion:...] sections")
     return out
 
 
-def _sweep_point(family: str, base: dict, axes: list[str], values: tuple,
-                 criteria: list[tuple[str, dict]], quad: QuadratureSpec,
-                 cutoff: int | None):
-    params = dict(base)
-    params.update(dict(zip(axes, values)))
-    spec_obj = build_state(family, params)
-    row: list = [params[a] for a in axes]
-    field_cache: dict = {}
-    fock_cache: dict = {}
+def _optimised(name: str, opts: dict) -> bool:
+    """Whether a grid row carries the optimiser's `<name>_theta` (empty for C3)."""
+    return name in ("c1", "c2", "c3") and opts.get("transform") == "optimize"
 
-    def field():
-        if "w" not in field_cache:
-            field_cache["w"] = _field_of(spec_obj, "default", cutoff)
-        return field_cache["w"]
 
-    def fock():
-        if "rho" not in fock_cache:
-            fock_cache["rho"] = _fock_of(spec_obj, cutoff)
-        return fock_cache["rho"]
-
-    for name, opts in criteria:
-        mode = opts.get("mode", "fixed")
-        if name == "c1" and mode == "optimize":
-            result = optimize_criterion(field(), "C1", quad)
-            rep = result.report
-            row += [rep.value, rep.bound, rep.violated, result.best_theta]
-            continue
-        if name in ("c1", "c2"):
-            t = parse_transform(opts.get("transform", "p-reflect"))
-            theta = _theta_value(opts.get("theta", math.pi / 4.0))
-            if name == "c1":
-                rep = criterion1(field(), t, theta, quad)
-            else:
-                region = parse_region(opts.get("region", "full-plane"))
-                rep = criterion2(field(), t, theta, region, quad)
-        elif name == "c3":
-            t = parse_transform(opts.get("transform", "neg-identity"))
-            rep = criterion3(field(), t, quad)
-        elif name == "purity":
-            if opts.get("theta", "optimize") == "optimize":
-                rep = optimize_purity(field(), quad)
-            else:
-                rep = purity_s1(field(), _theta_value(opts["theta"], exclude_degenerate=False),
-                                quad)
-        elif name == "simon":
-            rep = simon_check(_covariance_of(spec_obj))
-        elif name == "duan":
-            rep = duan_check(_covariance_of(spec_obj))
-        elif name == "ppt":
-            rep = ppt_check(fock())
-        elif name == "pseudospin":
-            rep = pseudospin_epr(fock())
+def _bisect(violated, lo: float, hi: float, iters: int) -> float:
+    """Where `violated` switches on inside [lo, hi], by bisection; nan if hi is clean."""
+    if not violated(hi):
+        return float("nan")
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if violated(mid):
+            hi = mid
         else:
-            raise ConfigError(f"unknown sweep criterion {name!r}")
-        row += [rep.value, rep.bound, rep.violated]
-    return row
-
-
-def _threshold_point(family: str, base: dict, axes: list[str], values: tuple,
-                     criteria: list[tuple[str, dict]], quad: QuadratureSpec,
-                     cutoff: int | None, thr: dict):
-    params = dict(base)
-    params.update(dict(zip(axes, values)))
-    param_name = thr["param"]
-    lo0 = _number(thr.get("lo", 0.0), "threshold lo")
-    hi0 = _number(thr.get("hi", 1.0), "threshold hi")
-    iters = _number(thr.get("iters", 14), "threshold iters", int)
-    row: list = [params[a] for a in axes]
-
-    def violated(name: str, opts: dict, value: float) -> bool:
-        trial = dict(params)
-        trial[param_name] = value
-        spec_obj = build_state(family, trial)
-        if name == "c3":
-            t = parse_transform(opts.get("transform", "neg-identity"))
-            return criterion3(state_to_wigner(spec_obj), t, quad).violated
-        if name == "bell":
-            best, _ = maximize_bell(state_to_wigner(spec_obj))
-            return best > 2.0 + 1e-8
-        if name == "ppt":
-            return ppt_check(state_to_fock(spec_obj, cutoff)).violated
-        if name == "c1":
-            t = parse_transform(opts.get("transform", "p-reflect"))
-            theta = _theta_value(opts.get("theta", math.pi / 4.0))
-            return criterion1(state_to_wigner(spec_obj), t, theta, quad).violated
-        raise ConfigError(f"threshold mode does not support criterion {name!r}")
-
-    for name, opts in criteria:
-        lo, hi = lo0, hi0
-        if not violated(name, opts, hi):
-            row.append(float("nan"))
-            continue
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if violated(name, opts, mid):
-                hi = mid
-            else:
-                lo = mid
-        row.append(0.5 * (lo + hi))
-    return row
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def cmd_sweep(args) -> int:
@@ -476,21 +471,35 @@ def cmd_sweep(args) -> int:
     if mode == "grid":
         for name, opts in criteria:
             header += [f"{name}_value", f"{name}_bound", f"{name}_violated"]
-            if name == "c1" and opts.get("mode") == "optimize":
-                header.append("c1_theta")
+            if _optimised(name, opts):
+                header.append(f"{name}_theta")
 
-        def work(values):
-            return _sweep_point(family, base, axes, values, criteria, quad, cutoff)
+        def cells(params: dict) -> list:
+            inp = _Inputs(family, params, cutoff=cutoff)
+            row: list = []
+            for name, opts in criteria:
+                rep, _ = CRITERIA[name](inp, opts, quad)
+                row += [rep.value, rep.bound, rep.violated]
+                if _optimised(name, opts):
+                    row.append(rep.theta)
+            return row
     elif mode == "threshold":
         thr = dict(parser["threshold"]) if parser.has_section("threshold") else {}
         if "param" not in thr:
             raise ConfigError(f"{args.config}: threshold mode needs "
                               "[threshold] param = <name>")
+        lo = _number(thr.get("lo", 0.0), "threshold lo")
+        hi = _number(thr.get("hi", 1.0), "threshold hi")
+        iters = _number(thr.get("iters", 14), "threshold iters", int)
         header += [f"{name}_threshold" for name, _ in criteria]
 
-        def work(values):
-            return _threshold_point(family, base, axes, values, criteria,
-                                    quad, cutoff, thr)
+        def violated(params: dict, name: str, opts: dict, value: float) -> bool:
+            inp = _Inputs(family, {**params, thr["param"]: value}, cutoff=cutoff)
+            return CRITERIA[name](inp, opts, quad)[0].violated
+
+        def cells(params: dict) -> list:
+            return [_bisect(lambda v: violated(params, name, opts, v), lo, hi, iters)
+                    for name, opts in criteria]
     else:
         raise ConfigError(f"unknown sweep mode {mode!r}")
 
@@ -498,19 +507,13 @@ def cmd_sweep(args) -> int:
     for vals in axis_values:
         points = [p + (v,) for p in points for v in vals]
 
-    rows = [work(p) for p in points]
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
+    for values in points:
+        row = list(values) + cells(dict(base, **dict(zip(axes, values))))
         writer.writerow([_csv_cell(v) for v in row])
-    text = buf.getvalue()
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(buf.getvalue(), args.output)
     return EXIT_OK
 
 
@@ -523,82 +526,12 @@ def _csv_cell(value):
 
 
 # ---------------------------------------------------------------------------
-# oracle
-
-
-def cmd_oracle(args) -> int:
-    params = {k: getattr(args, k) for k in
-              ("s", "eta", "r", "epsilon", "gamma", "n", "m", "c1", "c2")}
-    spec_obj = build_state(args.state, params)
-    state = _state_dict(args.state, params)
-    start = time.perf_counter()
-
-    if args.crosscheck_wigner:
-        payload = _crosscheck(spec_obj, state, args.cutoff)
-        payload["runtime_ms"] = ((time.perf_counter() - start) * 1e3
-                                 if args.timing else None)
-        _dump_json(payload, args.output)
-        return EXIT_OK
-
-    extras: dict = {}
-    if args.ppt:
-        report = ppt_check(_fock_of(spec_obj, args.cutoff))
-    elif args.pseudospin:
-        cutoff = args.cutoff
-        if cutoff is not None and cutoff % 2:
-            cutoff += 1
-        rho = _fock_of(spec_obj, cutoff)
-        if rho.cutoff % 2:
-            rho = _fock_of(spec_obj, rho.cutoff + 1)
-        report = pseudospin_epr(rho)
-    elif args.bell:
-        w = _field_of(spec_obj, "default", args.cutoff)
-        if args.optimize:
-            _, alphas = maximize_bell(w)
-        elif args.alphas is not None:
-            alphas = parse_alphas(args.alphas)
-        else:
-            raise ConfigError("oracle --bell needs --alphas or --optimize")
-        report = bell_chsh(w, alphas)
-        extras["alphas"] = [[a.real, a.imag] for a in alphas]
-    else:
-        raise ConfigError("oracle wants one of --ppt, --pseudospin, --bell, "
-                          "--crosscheck-wigner")
-
-    runtime = (time.perf_counter() - start) * 1e3 if args.timing else None
-    _dump_json(_report_payload(report, state, runtime, extras), args.output)
-    return EXIT_OK
-
-
-def _crosscheck(spec_obj, state: dict, cutoff: int | None) -> dict:
-    reference = _field_of(spec_obj, "default", None)
-    fock_field = fock_wigner(_fock_of(spec_obj, cutoff))
-    half = min(4.0, reference.envelope.halfwidth)
-    axis = np.linspace(-half, half, 5)
-    grids = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    ref_vals = reference.evaluate(*grids)
-    fock_vals = fock_field.evaluate(*grids)
-    disagreement = float(np.max(np.abs(ref_vals - fock_vals)))
-    return {
-        "check": "crosscheck-wigner",
-        "state": state,
-        "cutoff": fock_field.rho.cutoff,
-        "grid_points": int(ref_vals.size),
-        "grid_halfwidth": half,
-        "max_disagreement": disagreement,
-        "passed": bool(disagreement < 1e-6),
-    }
-
-
-# ---------------------------------------------------------------------------
 # argument wiring
 
 
 def _add_state_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--state", required=True,
-                     choices=["vacuum", "tmsv", "tmst", "werner-phi+",
-                              "werner-psi+", "cat-plus", "cat-minus", "gaussian"])
-    for flag in ("s", "eta", "r", "epsilon", "gamma", "n", "m", "c1", "c2"):
+    sub.add_argument("--state", required=True, choices=list(_FAMILIES))
+    for flag in dict.fromkeys(k for names, _ in _FAMILIES.values() for k in names):
         sub.add_argument(f"--{flag}", type=float, default=None)
     sub.add_argument("--cutoff", type=int, default=None,
                      help="Fock cutoff override (default per family)")
@@ -619,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("evaluate", help="run one criterion on one state")
     _add_state_flags(ev)
     ev.add_argument("--criterion", required=True,
-                    choices=list(_FIELD_CRITERIA) + list(_GAUSSIAN_CRITERIA))
+                    choices=["c1", "c2", "c3", "purity", "simon", "duan"])
     ev.add_argument("--transform", default="p-reflect",
                     help="preset name, 'optimize', or a,b,c,d[,x0,p0]")
     ev.add_argument("--theta", default=None,
@@ -662,10 +595,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (configparser.Error, TransformError, RegionError) as exc:
+    except (ConfigError, configparser.Error, TransformError, RegionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonConvergenceError as exc:

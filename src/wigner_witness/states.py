@@ -98,6 +98,10 @@ class TmstParams:
             raise ValueError(f"transmissivity must be in (0, 1], got {self.eta!r}")
         if not 0.0 <= self.r < math.inf:
             raise ValueError(f"gain parameter must be finite and nonnegative, got {self.r!r}")
+        # The covariance grows like exp(2 s + 2 r); past this it overflows a float.
+        if self.s + self.r > 350.0:
+            raise ValueError(f"squeezing plus gain must be at most 350, got "
+                             f"s = {self.s!r}, r = {self.r!r}")
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,13 @@ _CAT_C1 = ("evaluate", "--state", "cat-plus", "--gamma", "1", "--epsilon", "0.5"
     ("evaluate", "--state", "tmsv", "--s", "inf", "--criterion", "c1", "--theta", "0.7"),
     ("evaluate", "--state", "tmst", "--s", "0.5", "--eta", "0.5", "--r", "nan",
      "--criterion", "c1", "--theta", "0.7"),
+    # finite, but cosh(2 s) or cosh(r)^2 overflows a float
+    ("evaluate", "--state", "tmsv", "--s", "400", "--criterion", "c1", "--theta", "0.7"),
+    ("evaluate", "--state", "tmst", "--s", "0.5", "--eta", "0.5", "--r", "800",
+     "--criterion", "simon"),
+    # in range, but the covariance rounds into unphysical
+    ("evaluate", "--state", "tmst", "--s", "175", "--eta", "0.5", "--r", "175",
+     "--criterion", "simon"),
 ])
 def test_bad_evaluate_input_exits_config_error(argv):
     proc = run_cli(*argv, check=False)
@@ -287,6 +294,12 @@ _CAT_SWEEP = ("[sweep]\nmode = grid\n\n"
               "[state]\nfamily = cat-plus\nepsilon = 0.5\n\n"
               "[grid]\ngamma = 0.5:1:2\n\n"
               "[criterion:c1]\ntheta = 0.7\n")
+# threshold mode builds its fields through the same checks as evaluate
+_CAT_THRESHOLD = ("[sweep]\nmode = threshold\n\n"
+                  "[state]\nfamily = cat-minus\n\n"
+                  "[grid]\ngamma = 1e200\n\n"
+                  "[threshold]\nparam = epsilon\n\n"
+                  "[criterion:c3]\n")
 
 
 @pytest.mark.parametrize("good, bad", [
@@ -294,6 +307,9 @@ _CAT_SWEEP = ("[sweep]\nmode = grid\n\n"
     ("epsilon = 0.5", "epsilon = oops"),
     ("theta = 0.7", "theta = abc"),
     ("theta = 0.7", "theta = 4"),
+    pytest.param(_CAT_SWEEP, _CAT_THRESHOLD, id="threshold-envelope-overflow"),
+    pytest.param("epsilon = 0.5", "epsilon = 0.5\ncutoff = 0", id="cutoff-0"),
+    pytest.param("[criterion:c1]", "[criterion:c9]", id="unknown-criterion"),
 ])
 def test_bad_sweep_config_exits_config_error(tmp_path, good, bad):
     cfg = tmp_path / "bad.cfg"
@@ -303,3 +319,85 @@ def test_bad_sweep_config_exits_config_error(tmp_path, good, bad):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def _sweep_rows(tmp_path, text):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    return list(csv.reader(io.StringIO(run_cli("sweep", "--config", str(cfg)).stdout)))
+
+
+def test_sweep_pseudospin_rounds_odd_cutoff_like_oracle(tmp_path):
+    rows = _sweep_rows(tmp_path, "[state]\nfamily = tmsv\ncutoff = 23\n\n"
+                                 "[grid]\ns = 0.6\n\n[criterion:pseudospin]\n")
+    oracle = json.loads(run_cli("oracle", "--state", "tmsv", "--s", "0.6",
+                                "--cutoff", "23", "--pseudospin").stdout)
+    assert rows[0] == ["s", "pseudospin_value", "pseudospin_bound", "pseudospin_violated"]
+    assert float(rows[1][1]) == oracle["value"]
+    assert rows[1][3] == ("true" if oracle["violated"] else "false")
+
+
+def test_sweep_threshold_simon_recovers_tmst_boundary(tmp_path):
+    # loss eta on mode A against gain r: the Simon boundary sits at eta = tanh(r)^2
+    rows = _sweep_rows(tmp_path, "[sweep]\nmode = threshold\n\n"
+                                 "[state]\nfamily = tmst\ns = 0.5\neta = 1.0\n\n"
+                                 "[grid]\nr = 0.2\n\n"
+                                 "[threshold]\nparam = eta\nlo = 0.0\nhi = 1.0\niters = 14\n\n"
+                                 "[criterion:simon]\n")
+    assert rows[0] == ["r", "simon_threshold"]
+    np.testing.assert_allclose(float(rows[1][1]), math.tanh(0.2) ** 2, rtol=0, atol=1e-3)
+
+
+def test_sweep_grid_bell_matches_oracle_optimize(tmp_path):
+    rows = _sweep_rows(tmp_path, "[state]\nfamily = cat-minus\ngamma = 1.0\n\n"
+                                 "[grid]\nepsilon = 1.0\n\n[criterion:bell]\n")
+    oracle = json.loads(run_cli("oracle", "--state", "cat-minus", "--gamma", "1.0",
+                                "--epsilon", "1.0", "--bell", "--optimize").stdout)
+    assert rows[0] == ["epsilon", "bell_value", "bell_bound", "bell_violated"]
+    assert [float(rows[1][1]), float(rows[1][2])] == [oracle["value"], oracle["bound"]]
+    assert rows[1][3] == "true" and oracle["violated"] is True
+
+
+def test_every_mode_calls_criteria_through_module_globals(tmp_path, monkeypatch, capsys):
+    # Rebinding a criterion on the cli module must reach evaluate, grid and
+    # threshold sweeps alike: a table holding the function objects would not.
+    from wigner_witness import cli
+
+    calls = []
+    for name in ("simon_check", "criterion1"):
+        original = getattr(cli, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+
+    def ran(argv):
+        calls.clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        return sorted(set(calls))
+
+    tmsv = ["--state", "tmsv", "--s", "0.4"]
+    assert ran(["evaluate", *tmsv, "--criterion", "simon"]) == ["simon_check"]
+    assert ran(["evaluate", *tmsv, "--criterion", "c1", "--theta", "0.7"]) == ["criterion1"]
+    body = ("[state]\nfamily = tmst\ns = 0.5\nr = 0.2\neta = 1.0\n\n[grid]\nr = 0.2\n\n"
+            "[threshold]\nparam = eta\niters = 3\n\n[criterion:simon]\n\n[criterion:c1]\n")
+    for mode in ("grid", "threshold"):
+        cfg = tmp_path / f"{mode}.cfg"
+        cfg.write_text(f"[sweep]\nmode = {mode}\n\n" + body)
+        assert ran(["sweep", "--config", str(cfg)]) == ["criterion1", "simon_check"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--state", "tmsv", "--s", "0.5", "--ppt", "--cutoff", "0"),
+    ("oracle", "--state", "tmsv", "--s", "0.5", "--pseudospin", "--cutoff", "0"),
+    ("evaluate", "--state", "tmsv", "--s", "0.5", "--criterion", "c1", "--theta", "0.7",
+     "--backend", "fock", "--cutoff", "-2"),
+])
+def test_nonpositive_cutoff_exits_config_error(argv):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "cutoff" in lines[0]

@@ -111,6 +111,11 @@ def test_param_validation():
         TmstParams(s=-0.1)
     with pytest.raises(ValueError):
         TmstParams(s=0.5, eta=0.0)
+    # cosh(2 s) and cosh(r)^2 overflow a float past s + r = 350
+    for s, r in ((400.0, 0.0), (0.5, 800.0), (200.0, 150.5)):
+        with pytest.raises(ValueError, match="at most 350"):
+            TmstParams(s=s, eta=0.5, r=r)
+    TmstParams(s=200.0, eta=0.5, r=150.0)
     with pytest.raises(ValueError):
         WernerParams(bell="phi-", epsilon=0.5)
     with pytest.raises(ValueError):
