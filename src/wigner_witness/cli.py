@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from functools import cached_property
@@ -57,6 +58,7 @@ from .states import (
     GaussianTwoMode,
     TmstParams,
     WernerParams,
+    default_cutoff,
     standard_form,
     state_to_fock,
     state_to_wigner,
@@ -155,7 +157,12 @@ class _Inputs:
             if isinstance(self.spec, GaussianTwoMode):
                 raise ConfigError("explicit-covariance states have no Fock-basis form; "
                                   "use tmsv/tmst/werner/cat families")
-            self._fock[cutoff] = state_to_fock(self.spec, cutoff)
+            n = cutoff if cutoff is not None else default_cutoff(self.spec)
+            need = 16 * n ** 4      # bytes of the dense two-mode matrix
+            if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+                raise ConfigError(f"Fock cutoff {n} needs a {need / 2 ** 30:.3g} GiB "
+                                  "density matrix, more than this machine's memory")
+            self._fock[cutoff] = state_to_fock(self.spec, n)
         return self._fock[cutoff]
 
 
@@ -433,6 +440,15 @@ def _criterion_sections(parser: configparser.ConfigParser) -> list[tuple[str, di
     return out
 
 
+def _check_params(family: str, where: str, keys) -> None:
+    """Reject sweep keys that are not parameters of the state family."""
+    names = _FAMILIES[family][0]
+    for key in keys:
+        if key not in names:
+            raise ConfigError(f"{where} {key!r}: state {family!r} takes "
+                              f"{', '.join(names) or 'no parameters'}")
+
+
 def _optimised(name: str, opts: dict) -> bool:
     """Whether a grid row carries the optimiser's `<name>_theta` (empty for C3)."""
     return name in ("c1", "c2", "c3") and opts.get("transform") == "optimize"
@@ -455,13 +471,16 @@ def cmd_sweep(args) -> int:
     parser = _read_config(args.config)
     state_sec = dict(parser["state"])
     family = state_sec.pop("family", None)
-    if family is None:
-        raise ConfigError(f"{args.config}: [state] needs a family entry")
+    if family not in _FAMILIES:
+        raise ConfigError(f"{args.config}: [state] needs a family entry, one of "
+                          f"{', '.join(_FAMILIES)}; got {family!r}")
     cutoff = state_sec.pop("cutoff", None)
     if cutoff is not None:
         cutoff = _number(cutoff, "[state] cutoff", int)
+    _check_params(family, "[state]", state_sec)
     base = {k: _number(v, f"[state] {k}") for k, v in state_sec.items()}
     axes = list(parser["grid"].keys())
+    _check_params(family, "[grid]", axes)
     axis_values = [_parse_axis(parser["grid"][a]) for a in axes]
     quad = _config_quad(parser)
     criteria = _criterion_sections(parser)
@@ -488,6 +507,7 @@ def cmd_sweep(args) -> int:
         if "param" not in thr:
             raise ConfigError(f"{args.config}: threshold mode needs "
                               "[threshold] param = <name>")
+        _check_params(family, "[threshold] param", [thr["param"]])
         lo = _number(thr.get("lo", 0.0), "threshold lo")
         hi = _number(thr.get("hi", 1.0), "threshold hi")
         iters = _number(thr.get("iters", 14), "threshold iters", int)

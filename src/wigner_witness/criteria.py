@@ -21,7 +21,6 @@ cases always come back "not violated".
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .oracle import (
     purity,
     tensor,
 )
-from .quadrature import Box, QuadratureSpec, integrate
+from .quadrature import Box, QuadratureSpec, _err_floor, integrate
 from .wigner import (SlicePlane, WignerField, diagonal_slice, integrate_slice, make_slice,
                      reduced_mode_wigner, slice_plane)
 
@@ -83,10 +82,6 @@ class CriterionReport:
             "region": None if self.region is None else self.region.to_dict(),
             "error_estimate": self.error_estimate,
         }
-
-
-def _err_floor(value: float) -> float:
-    return 1e-13 * (1.0 + abs(value))
 
 
 def _gaussian_line_integral(w: WignerField, plane: SlicePlane) -> tuple[float, float]:
@@ -300,9 +295,6 @@ def duan_check(g) -> CriterionReport:
 
 def ppt_check(rho: FockDensityMatrix) -> CriterionReport:
     """Minimum eigenvalue of the partial transpose over mode B."""
-    if abs(rho.trace - 1.0) > 1e-6:
-        warnings.warn("trace deficit above 1e-6; cutoff may be too small",
-                      stacklevel=2)
     value = min_eigenvalue(partial_transpose(rho))
     return CriterionReport("PPT", value, 0.0, value < -1e-10,
                            error_estimate=1e-10)
@@ -310,9 +302,6 @@ def ppt_check(rho: FockDensityMatrix) -> CriterionReport:
 
 def pseudospin_epr(rho: FockDensityMatrix) -> CriterionReport:
     """Sum of squared pseudospin correlators; above 1 certifies steering."""
-    if abs(rho.trace - 1.0) > 1e-6:
-        warnings.warn("trace deficit above 1e-6; cutoff may be too small",
-                      stacklevel=2)
     n = rho.cutoff
     value = 0.0
     for op in (pseudospin_z(n), pseudospin_x(n), pseudospin_y(n)):

@@ -7,6 +7,7 @@ and theta, doubled over the reflection branch det = +/-1.  The objective is
 smooth but multimodal (cat-state fringes), so the optimizer is a coarse seed
 lattice followed by Nelder-Mead refinement of the best seeds per branch; it
 is best-effort and reports its trace rather than claiming global optimality.
+The purity-angle and CHSH searches share its driver, `_refine_top`.
 
 shrink_region answers the complementary question for criterion II: once a
 (transform, theta) pair violates on the full plane, how small can the
@@ -17,10 +18,12 @@ the violation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FULL_PLANE, Region, SymplecticParam, Transform2, disk_union, symplectic_from_params
 from .criteria import CriterionReport, bell_chsh, criterion1, criterion2, criterion3, purity_s1
@@ -99,6 +102,24 @@ def _objective(report: CriterionReport, which: str) -> float:
     return report.value - report.bound
 
 
+def _ascend(objective, x0, maxiter: int, fatol: float, xatol: float | None = None):
+    """One Nelder-Mead run maximising `objective` from x0: (value, point)."""
+    res = minimize(lambda v: -objective(v), x0, method="Nelder-Mead",
+                   options={"maxiter": maxiter, "fatol": fatol,
+                            "xatol": fatol if xatol is None else xatol, "disp": False})
+    return float(-res.fun), np.asarray(res.x, dtype=float)
+
+
+def _refine_top(objective, scored, top: int, maxiter: int, fatol: float,
+                xatol: float | None = None):
+    """(value, point) of one ascent from each of the `top` best unpenalised
+    (value, point) seeds, best first.  Ties keep seed order, here and in
+    `max(scored + runs)`, which so keeps a run only if it beats every seed."""
+    ranked = sorted(scored, key=lambda item: -item[0])
+    return [_ascend(objective, x, maxiter, fatol, xatol)
+            for value, x in ranked[:top] if value > _PENALTY / 2]
+
+
 def optimize_criterion(w: WignerField, which: str,
                        spec: QuadratureSpec | None = None) -> OptimizationResult:
     """Maximize the violation of one slice criterion over transform and theta.
@@ -114,81 +135,47 @@ def optimize_criterion(w: WignerField, which: str,
     search_spec = replace(base, order=min(base.order, _SEARCH_ORDER))
     report_spec = replace(base, order=max(base.order, _REPORT_ORDER))
 
-    seeds = []
-    for phi1 in _ANGLE_SEEDS:
-        for phi2 in _ANGLE_SEEDS:
-            for logt in _LOGT_SEEDS:
-                for x0 in _OFFSET_SEEDS:
-                    for p0 in _OFFSET_SEEDS:
-                        if which == "C3":
-                            seeds.append((phi1, phi2, logt, x0, p0))
-                        else:
-                            seeds.extend((phi1, phi2, logt, x0, p0, theta)
-                                         for theta in _THETA_SEEDS)
+    axes = [_ANGLE_SEEDS, _ANGLE_SEEDS, _LOGT_SEEDS, _OFFSET_SEEDS, _OFFSET_SEEDS]
+    if which != "C3":
+        axes.append(_THETA_SEEDS)
+    seeds = [np.asarray(seed, dtype=float) for seed in itertools.product(*axes)]
 
-    def objective_at(vec, reflect: bool) -> float:
-        if _clamped(vec, which):
-            return _PENALTY
-        return _objective(_evaluate(w, which, vec, reflect, search_spec), which)
+    def branch(reflect: bool):
+        def at(vec) -> float:
+            if _clamped(vec, which):
+                return _PENALTY
+            return _objective(_evaluate(w, which, vec, reflect, search_spec), which)
+        return at
 
-    trace: list[tuple[int, float]] = []
-    candidates: list[tuple[float, bool, np.ndarray]] = []
-    index = 0
-    per_branch: dict[bool, list[tuple[float, np.ndarray]]] = {False: [], True: []}
-    for reflect in (False, True):
-        for seed in seeds:
-            vec = np.asarray(seed, dtype=float)
-            obj = objective_at(vec, reflect)
-            trace.append((index, obj))
-            index += 1
-            per_branch[reflect].append((obj, vec))
-            candidates.append((obj, reflect, vec))
+    # Both branches are scored before either is refined; the trace lists the
+    # objectives in that evaluation order.
+    branches = {reflect: branch(reflect) for reflect in (False, True)}
+    scored = {reflect: [(f(seed), seed) for seed in seeds] for reflect, f in branches.items()}
+    refined = {reflect: _refine_top(f, scored[reflect], _TOP_K, _MAX_ITER, 1e-9)
+               for reflect, f in branches.items()}
+    candidates = [(value, reflect, vec) for runs in (scored, refined)
+                  for reflect in (False, True) for value, vec in runs[reflect]]
 
-    restarts = 0
-    for reflect in (False, True):
-        ranked = sorted(per_branch[reflect], key=lambda item: -item[0])
-        for obj, vec in ranked[:_TOP_K]:
-            if obj <= _PENALTY / 2:
-                continue
-            res = minimize(lambda v: -objective_at(v, reflect), vec,
-                           method="Nelder-Mead",
-                           options={"maxiter": _MAX_ITER, "fatol": 1e-9,
-                                    "xatol": 1e-9, "disp": False})
-            restarts += 1
-            refined = float(-res.fun)
-            trace.append((index, refined))
-            index += 1
-            candidates.append((refined, reflect, np.asarray(res.x, dtype=float)))
-
-    candidates.sort(key=lambda item: -item[0])
-    best_obj, best_reflect, best_vec = candidates[0]
-    if not best_reflect:
-        for obj, reflect, vec in candidates:
-            if reflect and best_obj - obj <= 1e-12:
-                best_reflect, best_vec = reflect, vec
-                break
+    ranked = sorted(candidates, key=lambda item: -item[0])
+    best_obj = ranked[0][0]
+    _, best_reflect, best_vec = next(
+        (c for c in ranked if c[1] and best_obj - c[0] <= 1e-12), ranked[0])
 
     # Restarting from the incumbent re-inflates the simplex, which rescues
     # runs that collapsed early on a flat ridge.
-    polish = minimize(lambda v: -objective_at(v, best_reflect), best_vec,
-                      method="Nelder-Mead",
-                      options={"maxiter": _MAX_ITER, "fatol": 1e-10,
-                               "xatol": 1e-10, "disp": False})
-    restarts += 1
-    polished = float(-polish.fun)
-    trace.append((index, polished))
-    index += 1
+    polished, polished_vec = _ascend(branches[best_reflect], best_vec, _MAX_ITER, 1e-10)
     if polished > best_obj:
-        best_vec = np.asarray(polish.x, dtype=float)
+        best_vec = polished_vec
 
     report = _evaluate(w, which, best_vec, best_reflect, report_spec)
-    trace.append((index, _objective(report, which)))
+    objectives = [c[0] for c in candidates] + [polished, _objective(report, which)]
     best_param = SymplecticParam(phi1=float(best_vec[0]), phi2=float(best_vec[1]),
                                  t=math.exp(float(best_vec[2])), reflect=best_reflect)
     best_theta = None if which == "C3" else float(best_vec[5])
     return OptimizationResult(best_param=best_param, best_theta=best_theta,
                               best_value=report.value, report=report,
-                              trace=tuple(trace), restarts=restarts)
+                              trace=tuple(enumerate(objectives)),
+                              restarts=len(refined[False]) + len(refined[True]) + 1)
 
 
 def optimize_purity(w: WignerField,
@@ -196,23 +183,20 @@ def optimize_purity(w: WignerField,
     """Maximize the output-mode purity over the mixing angle.
 
     The transform inside the criterion is fixed (the p-reflection), so only
-    theta is searched: Nelder-Mead from a handful of angle seeds, clamped to
-    (0, pi).
+    theta is searched: Nelder-Mead from the best of a handful of angle seeds,
+    clamped to (0, pi).
     """
-    def value(theta: float) -> float:
+    def value(v) -> float:
+        theta = float(v[0])
         if not 1e-3 < theta < math.pi - 1e-3:
             return _PENALTY
         return purity_s1(w, theta, spec).value
 
-    best_theta = max((math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2,
-                      2 * math.pi / 3, 5 * math.pi / 6), key=value)
-    res = minimize(lambda v: -value(float(v[0])), np.array([best_theta]),
-                   method="Nelder-Mead",
-                   options={"maxiter": 200, "fatol": 1e-12, "xatol": 1e-10,
-                            "disp": False})
-    if -res.fun > value(best_theta):
-        best_theta = float(res.x[0])
-    return purity_s1(w, best_theta, spec)
+    scored = [(value(seed), seed) for seed in map(np.atleast_1d, (
+        math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6))]
+    refined = _refine_top(value, scored, 1, 200, 1e-12, 1e-10)
+    _, best = max(scored + refined, key=lambda item: item[0])
+    return purity_s1(w, float(best[0]), spec)
 
 
 def _local_maxima(slc, box, n: int = 41):
@@ -220,14 +204,10 @@ def _local_maxima(slc, box, n: int = 41):
     ps = np.linspace(box.cp - box.hp, box.cp + box.hp, n)
     gx, gp = np.meshgrid(xs, ps, indexing="ij")
     vals = np.abs(np.asarray(slc.evaluate(gx, gp), dtype=float))
-    peaks = []
-    for i in range(n):
-        for j in range(n):
-            v = vals[i, j]
-            lo_i, hi_i = max(i - 1, 0), min(i + 2, n)
-            lo_j, hi_j = max(j - 1, 0), min(j + 2, n)
-            if v >= vals[lo_i:hi_i, lo_j:hi_j].max() and v > 1e-12:
-                peaks.append((v, float(xs[i]), float(ps[j])))
+    padded = np.pad(vals, 1, constant_values=-np.inf)
+    around = sliding_window_view(padded, (3, 3)).max(axis=(2, 3))
+    peaks = [(vals[i, j], float(xs[i]), float(ps[j]))
+             for i, j in zip(*np.nonzero((vals >= around) & (vals > 1e-12)))]
     peaks.sort(key=lambda item: -item[0])
     return peaks
 
@@ -300,6 +280,10 @@ def shrink_region(w: WignerField, t: Transform2, theta: float,
     return disk_union(*[(d[0], d[1], d[2]) for d in disks])
 
 
+def _alphas(vec) -> tuple[complex, ...]:
+    return tuple(complex(vec[k], vec[k + 1]) for k in (0, 2, 4, 6))
+
+
 def maximize_bell(w: WignerField, seed: int = 7,
                   extra_starts: int = 16) -> tuple[float, tuple[complex, ...]]:
     """Best CHSH value found over the four complex displacements.
@@ -318,18 +302,9 @@ def maximize_bell(w: WignerField, seed: int = 7,
         starts.append(rng.normal(scale=0.5, size=8))
 
     def value(vec) -> float:
-        alphas = (complex(vec[0], vec[1]), complex(vec[2], vec[3]),
-                  complex(vec[4], vec[5]), complex(vec[6], vec[7]))
-        return bell_chsh(w, alphas).value
+        return bell_chsh(w, _alphas(vec)).value
 
-    scored = sorted(starts, key=lambda v: -value(v))
-    best_val, best_vec = value(scored[0]), scored[0]
-    for start in scored[:6]:
-        res = minimize(lambda v: -value(v), start, method="Nelder-Mead",
-                       options={"maxiter": 400, "fatol": 1e-10, "xatol": 1e-10,
-                                "disp": False})
-        if -res.fun > best_val:
-            best_val, best_vec = float(-res.fun), np.asarray(res.x)
-    alphas = (complex(best_vec[0], best_vec[1]), complex(best_vec[2], best_vec[3]),
-              complex(best_vec[4], best_vec[5]), complex(best_vec[6], best_vec[7]))
-    return best_val, alphas
+    scored = [(value(start), start) for start in starts]
+    refined = _refine_top(value, scored, 6, 400, 1e-10)
+    best_val, best_vec = max(scored + refined, key=lambda item: item[0])
+    return best_val, _alphas(best_vec)

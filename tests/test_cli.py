@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -310,6 +311,14 @@ _CAT_THRESHOLD = ("[sweep]\nmode = threshold\n\n"
     pytest.param(_CAT_SWEEP, _CAT_THRESHOLD, id="threshold-envelope-overflow"),
     pytest.param("epsilon = 0.5", "epsilon = 0.5\ncutoff = 0", id="cutoff-0"),
     pytest.param("[criterion:c1]", "[criterion:c9]", id="unknown-criterion"),
+    # keys the family lacks: a constant state would give confident wrong rows
+    pytest.param(_CAT_SWEEP, "[sweep]\nmode = threshold\n\n[state]\nfamily = tmsv\n\n"
+                 "[grid]\ns = 0.5\n\n[threshold]\nparam = eta\niters = 5\n\n"
+                 "[criterion:simon]\n", id="threshold-param-not-in-family"),
+    pytest.param(_CAT_SWEEP, "[state]\nfamily = tmsv\ns = 0.5\n\n[grid]\neta = 0.2,0.9\n\n"
+                 "[criterion:simon]\n", id="grid-axis-not-in-family"),
+    pytest.param(_CAT_SWEEP, "[state]\nfamily = tmst\ns = 0.5\nr = 0.2\netta = 0.9\n\n"
+                 "[grid]\neta = 0.2,0.9\n\n[criterion:simon]\n", id="state-key-not-in-family"),
 ])
 def test_bad_sweep_config_exits_config_error(tmp_path, good, bad):
     cfg = tmp_path / "bad.cfg"
@@ -397,6 +406,24 @@ def test_every_mode_calls_criteria_through_module_globals(tmp_path, monkeypatch,
 ])
 def test_nonpositive_cutoff_exits_config_error(argv):
     proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "cutoff" in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--state", "werner-phi+", "--epsilon", "0.5", "--ppt", "--cutoff", "100000"),
+    # the family default cutoff grows like gamma^2: about 10^6 levels here
+    ("oracle", "--state", "cat-plus", "--gamma", "1000", "--epsilon", "0.5", "--ppt"),
+])
+def test_cutoff_beyond_memory_exits_config_error(argv):
+    # The cutoff is refused before any Fock array exists; the 1 GiB address-space
+    # limit turns an attempted allocation into a failure instead of a memory hog.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run(RUNNER + list(argv), capture_output=True, text=True,
+                          preexec_fn=limit_memory)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
