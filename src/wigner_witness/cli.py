@@ -72,6 +72,11 @@ EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_CUTOFF = 4
 
+# Dense two-mode matrices (16 n^4 bytes each) the Fock work holds at its peak:
+# state_to_fock, then ppt_check, pseudospin_epr and fock_wigner on the held
+# matrix, peak at 4.13 of them at cutoff 16 and 4.02 at cutoff 24.
+_FOCK_PEAK_MATRICES = 5
+
 
 class ConfigError(ValueError):
     """Raised for malformed CLI arguments or config files."""
@@ -158,10 +163,10 @@ class _Inputs:
                 raise ConfigError("explicit-covariance states have no Fock-basis form; "
                                   "use tmsv/tmst/werner/cat families")
             n = cutoff if cutoff is not None else default_cutoff(self.spec)
-            need = 16 * n ** 4      # bytes of the dense two-mode matrix
+            need = _FOCK_PEAK_MATRICES * 16 * n ** 4
             if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-                raise ConfigError(f"Fock cutoff {n} needs a {need / 2 ** 30:.3g} GiB "
-                                  "density matrix, more than this machine's memory")
+                raise ConfigError(f"Fock cutoff {n} needs {need / 2 ** 30:.3g} GiB for its "
+                                  "density matrices, more than this machine's memory")
             self._fock[cutoff] = state_to_fock(self.spec, n)
         return self._fock[cutoff]
 

@@ -40,8 +40,7 @@ from .oracle import (
     tensor,
 )
 from .quadrature import Box, QuadratureSpec, _err_floor, integrate
-from .wigner import (SlicePlane, WignerField, diagonal_slice, integrate_slice, make_slice,
-                     reduced_mode_wigner, slice_plane)
+from .wigner import WignerField, diagonal_slice, integrate_slice, make_slice, reduced_mode_wigner
 
 _TWO_PI = 2.0 * math.pi
 # Tr[rho D(Pi x Pi)D+] = (2 pi)^2 W(2 Re a_A, 2 Im a_A, ...) in this Wigner
@@ -84,78 +83,35 @@ class CriterionReport:
         }
 
 
-def _gaussian_line_integral(w: WignerField, plane: SlicePlane) -> tuple[float, float]:
-    """Closed-form integral of a Gaussian mixture over the plane, with a rounding-level error."""
-    c_mat, d_vec = plane.matrix()
-    total = 0.0
-    for (weight, mu, _), (prec, root_det) in zip(w.gaussians, w.precisions):
-        base = weight / (_TWO_PI * root_det)
-        delta = d_vec - mu
-        pc = prec @ c_mat
-        pd = prec @ delta
-        a = c_mat[:, 0] @ pc[:, 0]
-        b = c_mat[:, 0] @ pc[:, 1]
-        d = c_mat[:, 1] @ pc[:, 1]
-        det_m1 = a * d - b * b
-        v0 = c_mat[:, 0] @ pd
-        v1 = c_mat[:, 1] @ pd
-        quad = delta @ pd - (d * v0 * v0 - 2.0 * b * v0 * v1 + a * v1 * v1) / det_m1
-        total += base * math.exp(-0.5 * quad) / math.sqrt(det_m1)
-    return total, _err_floor(total)
-
-
 def criterion1(w: WignerField, t: Transform2, theta: float,
                spec: QuadratureSpec | None = None) -> CriterionReport:
-    """Signed slice integral against the separable bound 1/(2 pi).
-
-    Gaussian-mixture fields are integrated in closed form; anything else goes
-    through quadrature, and the error estimate follows the route taken.
-    """
+    """Signed slice integral against the separable bound 1/(2 pi); the error
+    estimate follows the route integrate_slice takes."""
     check_theta(theta, exclude_degenerate=True)
     bound = 1.0 / _TWO_PI
-    if w.gaussians is not None:
-        value, err = _gaussian_line_integral(w, slice_plane(t, theta))
-    else:
-        res = integrate_slice(make_slice(w, t, theta), spec)
-        value, err = res.value, res.error_estimate
-    return CriterionReport("C1", value, bound, value > bound + err,
-                           transform=t, theta=theta, error_estimate=err)
+    res = integrate_slice(make_slice(w, t, theta), spec)
+    return CriterionReport("C1", res.value, bound, res.value > bound + res.error_estimate,
+                           transform=t, theta=theta, error_estimate=res.error_estimate)
 
 
 def criterion2(w: WignerField, t: Transform2, theta: float,
                region: Region = FULL_PLANE,
                spec: QuadratureSpec | None = None) -> CriterionReport:
-    """Absolute slice integral over a region, bound 1/(2 pi |sin 2 theta|).
-
-    The closed form applies only when every mixture weight is nonnegative and
-    the region is the full plane (the integrand is then nonnegative, so the
-    absolute integral equals the signed one).
-    """
+    """Absolute slice integral over a region, bound 1/(2 pi |sin 2 theta|)."""
     check_theta(theta, exclude_degenerate=True)
     bound = 1.0 / (_TWO_PI * abs(math.sin(2.0 * theta)))
-    analytic = (w.gaussians is not None and region.kind == "full-plane"
-                and all(g[0] >= 0.0 for g in w.gaussians))
-    if analytic:
-        value, err = _gaussian_line_integral(w, slice_plane(t, theta))
-    else:
-        res = integrate_slice(make_slice(w, t, theta), spec,
-                              absolute=True, region=region)
-        value, err = res.value, res.error_estimate
-    return CriterionReport("C2", value, bound, value > bound + err,
+    res = integrate_slice(make_slice(w, t, theta), spec, absolute=True, region=region)
+    return CriterionReport("C2", res.value, bound, res.value > bound + res.error_estimate,
                            transform=t, theta=theta, region=region,
-                           error_estimate=err)
+                           error_estimate=res.error_estimate)
 
 
 def criterion3(w: WignerField, t: Transform2,
                spec: QuadratureSpec | None = None) -> CriterionReport:
     """Unscaled diagonal integral of W(x, p, t(x, p)); nonnegative if separable."""
-    if w.gaussians is not None:
-        value, err = _gaussian_line_integral(w, SlicePlane(t))
-    else:
-        res = integrate_slice(diagonal_slice(w, t), spec)
-        value, err = res.value, res.error_estimate
-    return CriterionReport("C3", value, 0.0, value < -err,
-                           transform=t, error_estimate=err)
+    res = integrate_slice(diagonal_slice(w, t), spec)
+    return CriterionReport("C3", res.value, 0.0, res.value < -res.error_estimate,
+                           transform=t, error_estimate=res.error_estimate)
 
 
 def _purity_gaussian(w: WignerField, theta: float) -> float:
@@ -235,12 +191,16 @@ def purity_s1(w: WignerField, theta: float,
         cx = st * env.center[0] - ct * env.center[2]
         cp = st * env.center[1] + ct * env.center[3]
         half = (abs(st) + abs(ct)) * env.halfwidth
+        inner_err = 0.0
 
         def integrand(x, p):
+            nonlocal inner_err
             xs, ps = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
             flat = np.empty(xs.size)
             for i, (xi, pi) in enumerate(zip(xs.ravel().tolist(), ps.ravel().tolist())):
-                flat[i] = reduced(xi, pi) ** 2
+                inner = reduced(xi, pi)
+                inner_err = max(inner_err, float(inner.error_estimate))
+                flat[i] = inner.value ** 2
             return flat.reshape(xs.shape)
 
         # The reduced mode is usually far narrower than the conservative
@@ -262,8 +222,13 @@ def purity_s1(w: WignerField, theta: float,
         # Outer order is capped: each abscissa costs a full inner quadrature.
         res = integrate(integrand, spec=QuadratureSpec(
             order=min(48, base.order), tolerance=base.tolerance, box=box))
+        # Outer nodes see f + delta, |delta| <= e, so sum(w (f + delta)^2) moves by
+        # at most 2 e sum(w |f|) + e^2 A, and sum(w |f|) <= sqrt(A I) by
+        # Cauchy-Schwarz: the weights are positive and sum to the box area A.
+        area = 4.0 * box.hx * box.hp
         value = 4.0 * math.pi * res.value
-        err = 4.0 * math.pi * res.error_estimate
+        err = 4.0 * math.pi * (res.error_estimate + inner_err * (
+            2.0 * math.sqrt(area * res.value) + inner_err * area))
     return CriterionReport("PurityS1", value, 1.0, value > 1.0 + err,
                            transform=P_REFLECT, theta=theta, error_estimate=err)
 

@@ -184,19 +184,23 @@ def optimize_purity(w: WignerField,
 
     The transform inside the criterion is fixed (the p-reflection), so only
     theta is searched: Nelder-Mead from the best of a handful of angle seeds,
-    clamped to (0, pi).
+    clamped to (0, pi).  Nelder-Mead revisits angles, so reports are kept.
     """
+    reports: dict[float, CriterionReport] = {}
+
     def value(v) -> float:
         theta = float(v[0])
         if not 1e-3 < theta < math.pi - 1e-3:
             return _PENALTY
-        return purity_s1(w, theta, spec).value
+        if theta not in reports:
+            reports[theta] = purity_s1(w, theta, spec)
+        return reports[theta].value
 
     scored = [(value(seed), seed) for seed in map(np.atleast_1d, (
         math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6))]
     refined = _refine_top(value, scored, 1, 200, 1e-12, 1e-10)
     _, best = max(scored + refined, key=lambda item: item[0])
-    return purity_s1(w, float(best[0]), spec)
+    return reports[float(best[0])]
 
 
 def _local_maxima(slc, box, n: int = 41):

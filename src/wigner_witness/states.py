@@ -17,17 +17,13 @@ from . import oracle
 from .oracle import CutoffTooSmallError, FockDensityMatrix
 from .wigner import Envelope, WignerField, gaussian_wigner
 
+# Two-mode symplectic form in the (x_A, p_A, x_B, p_B) ordering.
 _OMEGA = np.array([
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 0.0, 1.0],
     [0.0, 0.0, -1.0, 0.0],
 ])
-
-
-def symplectic_form() -> np.ndarray:
-    """Two-mode symplectic form in the (x_A, p_A, x_B, p_B) ordering."""
-    return _OMEGA.copy()
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ with a Gaussian envelope used to truncate quadrature domains.  Every slice
 criterion integrates W over an affine 2-plane u -> C u + d of phase space,
 and SlicePlane is that one geometry for all of them: it maps quadrature
 nodes to phase-space points, gives (C, d) to the closed-form integrals and
-derives the quadrature box from the envelope.
+derives the quadrature box from the envelope.  integrate_slice is the one
+place a slice integral picks its route, closed form or quadrature.
 
 Conventions: [x, p] = 2i, vacuum variance 1, so the vacuum Wigner function
 is exp(-(x^2+p^2)/2)/(2 pi) per mode and alpha = (x + i p)/2.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import FULL_PLANE, Region, Transform2, apply_transform, check_theta, invert_transform
 from .oracle import FockDensityMatrix, destroy, expectation
-from .quadrature import Box, IntegralResult, QuadratureSpec, integrate, integrate_abs
+from .quadrature import Box, IntegralResult, QuadratureSpec, _err_floor, integrate, integrate_abs
 
 _TWO_PI = 2.0 * math.pi
 
@@ -49,8 +50,8 @@ class WignerField:
     """Two-mode Wigner function with an evaluation backend.
 
     `gaussians` is an optional tuple of (weight, mean, covariance) triples
-    set when the field is an explicit Gaussian mixture; criteria use it for
-    closed-form integrals that bypass quadrature.
+    set when the field is an explicit Gaussian mixture; the closed-form
+    routes (integrate_slice, the purity criterion) use it to bypass quadrature.
     """
 
     evaluate: Callable[..., np.ndarray]
@@ -344,15 +345,30 @@ class SlicePlane(NamedTuple):
                    hx=0.5 * (x_hi - x_lo), hp=0.5 * (p_hi - p_lo))
 
 
-def slice_plane(t: Transform2, theta: float) -> SlicePlane:
-    """Plane of criteria I and II: u -> (u cos theta, t(u) sin theta)."""
-    return SlicePlane(t, math.cos(theta), out_scale=math.sin(theta))
+def _gaussian_line_integral(w: WignerField, plane: SlicePlane) -> tuple[float, float]:
+    """Closed-form integral of a Gaussian mixture over the plane, with a rounding-level error."""
+    c_mat, d_vec = plane.matrix()
+    total = 0.0
+    for (weight, mu, _), (prec, root_det) in zip(w.gaussians, w.precisions):
+        base = weight / (_TWO_PI * root_det)
+        delta = d_vec - mu
+        pc = prec @ c_mat
+        pd = prec @ delta
+        a = c_mat[:, 0] @ pc[:, 0]
+        b = c_mat[:, 0] @ pc[:, 1]
+        d = c_mat[:, 1] @ pc[:, 1]
+        det_m1 = a * d - b * b
+        v0 = c_mat[:, 0] @ pd
+        v1 = c_mat[:, 1] @ pd
+        quad = delta @ pd - (d * v0 * v0 - 2.0 * b * v0 * v1 + a * v1 * v1) / det_m1
+        total += base * math.exp(-0.5 * quad) / math.sqrt(det_m1)
+    return total, _err_floor(total)
 
 
 def make_slice(field: WignerField, t: Transform2, theta: float) -> SliceField:
     """Integrand (x, p) -> W(x cos, p cos, x' sin, p' sin), (x', p') = t(x, p)."""
     check_theta(theta)
-    return SliceField(field, slice_plane(t, theta))
+    return SliceField(field, SlicePlane(t, math.cos(theta), out_scale=math.sin(theta)))
 
 
 def diagonal_slice(field: WignerField, t: Transform2) -> SliceField:
@@ -364,28 +380,34 @@ def reduced_mode_wigner(field: WignerField, theta: float, t: Transform2,
                         spec: QuadratureSpec | None = None) -> Callable:
     """Wigner function of the output mode after mixing modes at angle theta.
 
-    Returns (X, P) -> integral of W(cos*x + sin*X, cos*p + sin*P,
-    t(sin*x - cos*X, sin*p - cos*P)) over (x, p).  With t the p-reflection
-    this is the reduced mode used by the purity criterion; with theta = pi/4
-    and t near -identity it is the summed-mode function whose value doubles
-    the criterion-III integral.
+    Returns (X, P) -> the IntegralResult of W(cos*x + sin*X, cos*p + sin*P,
+    t(sin*x - cos*X, sin*p - cos*P)) over (x, p), so a caller can carry the
+    inner error estimate.  With t the p-reflection this is the reduced mode
+    used by the purity criterion; with theta = pi/4 and t near -identity it is
+    the summed-mode function whose value doubles the criterion-III integral.
     """
     check_theta(theta)
     ct, st = math.cos(theta), math.sin(theta)
-    base = spec if spec is not None else QuadratureSpec()
 
-    def field_fn(big_x: float, big_p: float) -> float:
-        # Only a plane and its box per call: nested purity calls this per outer node.
+    def field_fn(big_x: float, big_p: float) -> IntegralResult:
         plane = SlicePlane(t, ct, (st * big_x, st * big_p), st, (-ct * big_x, -ct * big_p))
-        use = base if base.box is not None else replace(base, box=plane.box(field.envelope))
-        return integrate(lambda x, p: field.evaluate(*plane(x, p)), spec=use).value
+        return integrate_slice(SliceField(field, plane), spec)
 
     return field_fn
 
 
 def integrate_slice(slc: SliceField, spec: QuadratureSpec | None = None,
                     absolute: bool = False, region: Region = FULL_PLANE) -> IntegralResult:
-    """Integrate a slice over its box (or a region), optionally of |slice|."""
+    """Integrate a slice over its box (or a region), optionally of |slice|.
+
+    A full-plane slice of a Gaussian mixture takes the closed form, with no
+    evaluations; for |slice| only if every weight is nonnegative, so |W| = W.
+    Every other slice goes to quadrature on the slice's box.
+    """
+    gaussians = slc.field.gaussians
+    if (gaussians is not None and region.kind == "full-plane"
+            and (not absolute or all(g[0] >= 0.0 for g in gaussians))):
+        return IntegralResult(*_gaussian_line_integral(slc.field, slc.plane), evaluations=0)
     use = spec if spec is not None else QuadratureSpec()
     if use.box is None:
         use = replace(use, box=slc.box)

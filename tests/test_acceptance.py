@@ -195,7 +195,7 @@ def test_summed_mode_identity():
     worst = 0.0
     for w in states:
         value = criterion3(w, NEG_IDENTITY).value
-        half = 0.5 * reduced_mode_wigner(w, math.pi / 4, NEG_IDENTITY)(0.0, 0.0)
+        half = 0.5 * reduced_mode_wigner(w, math.pi / 4, NEG_IDENTITY)(0.0, 0.0).value
         worst = max(worst, abs(value - half))
     ok = worst <= 1e-7
     assert _verdict("diagonal integral halves the summed-mode value", ok,

@@ -6,12 +6,17 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
 from pathlib import Path
+
+from wigner_witness import (
+    CatParams, TmstParams, WernerParams, fock_wigner, ppt_check, pseudospin_epr, state_to_fock,
+)
 
 import refvals
 
@@ -410,6 +415,30 @@ def test_nonpositive_cutoff_exits_config_error(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "cutoff" in lines[0]
+
+
+@pytest.mark.parametrize("spec", [
+    CatParams(gamma=1.0, epsilon=0.5, sign="plus"),
+    TmstParams(s=0.5, eta=0.6, r=0.4),
+    WernerParams(bell="phi+", epsilon=0.8),
+], ids=["cat", "tmst", "werner"])
+def test_fock_work_peak_within_cutoff_memory_bound(spec):
+    # The bound counts _FOCK_PEAK_MATRICES dense matrices: it must cover the
+    # Fock work that one held density matrix feeds.
+    from wigner_witness.cli import _FOCK_PEAK_MATRICES
+    n = 16
+    for _ in range(2):      # the first pass fills the lazy caches
+        tracemalloc.start()
+        try:
+            rho = state_to_fock(spec, n)
+            ppt_check(rho)
+            pseudospin_epr(rho)
+            fock_wigner(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del rho
+    assert 16 * n ** 4 < peak < _FOCK_PEAK_MATRICES * 16 * n ** 4
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from wigner_witness import (
     purity_s1, reduced_mode_wigner, simon_check, standard_form, state_to_fock,
     state_to_wigner, tmst_covariance, vacuum,
 )
+from wigner_witness.criteria import _purity_fock
 from wigner_witness.oracle import displaced_parity_point
 
 import refvals
@@ -164,7 +165,7 @@ def test_c3_equals_half_summed_mode_peak():
     for w in states:
         rep = criterion3(w, NEG_IDENTITY, QuadratureSpec(order=120))
         half = 0.5 * reduced_mode_wigner(w, QUARTER, NEG_IDENTITY,
-                                         spec=QuadratureSpec(order=120))(0.0, 0.0)
+                                         spec=QuadratureSpec(order=120))(0.0, 0.0).value
         assert abs(rep.value - half) < 1e-10
 
 
@@ -174,6 +175,29 @@ def test_c3_offset_transform():
     t0 = criterion3(w, NEG_IDENTITY)
     t_off = criterion3(w, make_transform(-1.0, 0.0, 0.0, -1.0, x0=0.5, p0=0.0))
     assert t_off.value != pytest.approx(t0.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("w", [
+    state_to_wigner(TmstParams(s=0.5, eta=0.6, r=0.4)),
+    state_to_wigner(CatParams(gamma=1.0, epsilon=0.5, sign="minus")),
+], ids=["tmst", "cat-minus"])
+def test_slice_criteria_take_one_route_call(w, monkeypatch):
+    from wigner_witness import criteria
+    real = criteria.integrate_slice
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(criteria, "integrate_slice", spy)
+    for run in (lambda: criterion1(w, P_REFLECT, QUARTER),
+                lambda: criterion2(w, P_REFLECT, QUARTER),
+                lambda: criterion3(w, NEG_IDENTITY)):
+        results.clear()
+        rep = run()
+        assert len(results) == 1 and rep.value == results[0].value
+        assert (results[0].evaluations == 0) == (w.gaussians is not None)
 
 
 # --- purity ----------------------------------------------------------------
@@ -190,6 +214,18 @@ def test_purity_routes_agree():
         assert abs(purity_s1(w_gauss, theta).value - want) < 1e-12
         assert abs(purity_s1(w_fock, theta).value - want) < 1e-8
         assert abs(purity_s1(w_quad, theta, QuadratureSpec(order=60)).value - want) < 1e-7
+
+
+@pytest.mark.parametrize("bell, epsilon", [("phi+", 0.8), ("psi+", 0.5)])
+@pytest.mark.parametrize("theta", [0.6, QUARTER])
+@pytest.mark.parametrize("order", [12, 16, 24])
+def test_nested_purity_error_covers_inner_truncation(bell, epsilon, theta, order):
+    # Werner lives in {|0>, |1>}^2, so the cutoff-2 Fock value is exact; at
+    # these low orders the inner quadratures dominate the error.
+    par = WernerParams(bell=bell, epsilon=epsilon)
+    exact = _purity_fock(state_to_fock(par, cutoff=2), theta)
+    rep = purity_s1(state_to_wigner(par), theta, QuadratureSpec(order=order))
+    assert abs(rep.value - exact) <= rep.error_estimate
 
 
 def test_purity_vacuum_flat_at_one():

@@ -68,6 +68,23 @@ def test_purity_angle_optimum():
         assert rep.violated == refvals.purity_entangled(n, m, c1)
 
 
+@pytest.mark.parametrize("form", [(1.9, 1.4, 0.55, -0.55), (2.2, 1.1, 0.3, -0.3)])
+def test_purity_search_evaluates_each_angle_once(form, monkeypatch):
+    from wigner_witness import optimize
+    w = gaussian_wigner(standard_form(*form))
+    real = optimize.purity_s1
+    seen = []
+
+    def spy(field, theta, spec=None):
+        seen.append(theta)
+        return real(field, theta, spec)
+
+    monkeypatch.setattr(optimize, "purity_s1", spy)
+    rep = optimize_purity(w)
+    assert len(seen) == len(set(seen))
+    assert repr(rep) == repr(real(w, rep.theta))
+
+
 def test_invalid_which_token():
     with pytest.raises(ValueError):
         optimize_criterion(gaussian_wigner(vacuum()), "C4")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wigner_witness import (
     Box, FULL_PLANE, IDENTITY, NEG_IDENTITY, P_REFLECT, QuadratureSpec,
     diagonal_slice, fock_wigner, gaussian_wigner, integrate, integrate_slice,
-    make_slice, make_transform, mixture_wigner, reduced_mode_wigner,
+    make_slice, make_transform, mixture_wigner, rectangle, reduced_mode_wigner,
     state_to_fock, state_to_wigner, tmsv_covariance, vacuum,
 )
 from wigner_witness.oracle import (
@@ -173,16 +173,27 @@ def test_reduced_mode_matches_beam_splitter_marginal():
     mixed = beam_splitter(rho, -theta)
     marg = single_mode_fock_wigner(partial_trace(mixed, keep="b"))
     for X, P in ((0.0, 0.0), (0.8, -0.5), (-1.1, 0.4)):
-        assert abs(red(X, P) - marg(-X, -P)) < 1e-8
+        assert abs(red(X, P).value - marg(-X, -P)) < 1e-8
 
 
 def test_reduced_mode_p_reflect_normalization():
     # reduced mode is a state: integrates to 1
     w = state_to_wigner(TmstParams(s=0.3))
     red = reduced_mode_wigner(w, 0.9, P_REFLECT, spec=QuadratureSpec(order=80))
-    res = integrate(lambda x, p: np.vectorize(red)(x, p),
+    res = integrate(lambda x, p: np.vectorize(lambda X, P: red(X, P).value)(x, p),
                     spec=QuadratureSpec(order=60, box=Box(0, 0, 8, 8)))
     assert abs(res.value - 1.0) < 1e-7
+
+
+def test_reduced_mode_of_gaussian_is_closed_form():
+    w = state_to_wigner(TmstParams(s=0.5, eta=0.6, r=0.4))
+    exact = reduced_mode_wigner(w, 0.9, P_REFLECT)
+    forced = reduced_mode_wigner(replace(w, gaussians=None), 0.9, P_REFLECT,
+                                 spec=QuadratureSpec(order=160))
+    for X, P in ((0.0, 0.0), (0.8, -0.5), (-1.1, 0.4)):
+        res = exact(X, P)
+        assert res.evaluations == 0
+        assert abs(res.value - forced(X, P).value) < 1e-12
 
 
 def test_diagonal_slice_evaluates_on_mapped_pairs():
@@ -255,3 +266,16 @@ def test_plane_box_holds_every_point_inside_the_envelope(t, theta, big_x, big_p,
         slack = 1e-9 * (1.0 + max(abs(box.cx), abs(box.cp), box.hx, box.hp))
         assert np.all(np.abs(gx[inside] - box.cx) <= box.hx + slack)
         assert np.all(np.abs(gp[inside] - box.cp) <= box.hp + slack)
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_gaussian_slice_on_a_region_takes_quadrature(absolute):
+    # Only full-plane slices have the closed form; a rectangle is integrated
+    # exactly as for the same field without its Gaussian components.
+    region = rectangle(-2, 2, -1, 1)
+    res = integrate_slice(make_slice(_PLANE_FIELD, P_REFLECT, 0.7),
+                          absolute=absolute, region=region)
+    forced = integrate_slice(make_slice(replace(_PLANE_FIELD, gaussians=None), P_REFLECT, 0.7),
+                             absolute=absolute, region=region)
+    assert res.evaluations > 0
+    assert res == forced
