@@ -40,7 +40,10 @@ from .oracle import (
     tensor,
 )
 from .quadrature import Box, QuadratureSpec, _err_floor, integrate
-from .wigner import WignerField, diagonal_slice, integrate_slice, make_slice, reduced_mode_wigner
+from .wigner import (
+    WignerField, _plain_gaussians, diagonal_slice, integrate_slice, make_slice,
+    reduced_mode_wigner,
+)
 
 _TWO_PI = 2.0 * math.pi
 # Tr[rho D(Pi x Pi)D+] = (2 pi)^2 W(2 Re a_A, 2 Im a_A, ...) in this Wigner
@@ -128,7 +131,7 @@ def _purity_gaussian(w: WignerField, theta: float) -> float:
     a_mat = np.array([[st, 0.0], [0.0, st], [-ct, 0.0], [0.0, ct]])
     b_mat = np.array([[ct, 0.0], [0.0, ct], [st, 0.0], [0.0, -st]])
     comps = []
-    for (weight, mu, _), (prec, _) in zip(w.gaussians, w.precisions):
+    for (weight, mu, _, _), (prec, _, _, _) in zip(w.terms, w.precisions):
         m1 = b_mat.T @ prec @ b_mat
         jt = prec - prec @ b_mat @ np.linalg.inv(m1) @ b_mat.T @ prec
         p_out = a_mat.T @ jt @ a_mat
@@ -173,11 +176,12 @@ def purity_s1(w: WignerField, theta: float,
 
     Values above 1 certify entanglement: no separable input can yield a purer
     than pure reduced mode.  Gaussian mixtures evaluate in closed form, fields
-    backed by a density matrix go through exact Fock algebra, and closed-form
-    fields fall back to a nested quadrature whose outer order is capped.
+    backed by a density matrix go through exact Fock algebra, and other
+    fields fall back to a nested quadrature: an outer rule over the reduced
+    mode, whose whole blocks of nodes go to the inner slice integrals at once.
     """
     check_theta(theta)
-    if w.gaussians is not None:
+    if _plain_gaussians(w.terms):
         value = _purity_gaussian(w, theta)
         err = _err_floor(value)
     elif w.rho is not None:
@@ -195,13 +199,9 @@ def purity_s1(w: WignerField, theta: float,
 
         def integrand(x, p):
             nonlocal inner_err
-            xs, ps = np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float))
-            flat = np.empty(xs.size)
-            for i, (xi, pi) in enumerate(zip(xs.ravel().tolist(), ps.ravel().tolist())):
-                inner = reduced(xi, pi)
-                inner_err = max(inner_err, float(inner.error_estimate))
-                flat[i] = inner.value ** 2
-            return flat.reshape(xs.shape)
+            inner = reduced(x, p)
+            inner_err = max(inner_err, float(np.max(inner.error_estimate)))
+            return inner.value ** 2
 
         # The reduced mode is usually far narrower than the conservative
         # image box, so locate its support on a lattice before spending
@@ -219,9 +219,12 @@ def purity_s1(w: WignerField, theta: float,
             plo, phi = gp[live.any(axis=0)][[0, -1]]
             box = Box(cx=0.5 * (xlo + xhi), cp=0.5 * (plo + phi),
                       hx=0.5 * (xhi - xlo) + pad, hp=0.5 * (phi - plo) + pad)
-        # Outer order is capped: each abscissa costs a full inner quadrature.
+        # The outer order has a floor: below about 48 nodes per axis the
+        # 3/4-order rung on the scouted box understates the outer error (Werner
+        # phi+ at 16 gives 0.757 +- 0.57 against 1.43875), and exact inner
+        # integrals make outer nodes cheap.
         res = integrate(integrand, spec=QuadratureSpec(
-            order=min(48, base.order), tolerance=base.tolerance, box=box))
+            order=max(48, base.order), tolerance=base.tolerance, box=box))
         # Outer nodes see f + delta, |delta| <= e, so sum(w (f + delta)^2) moves by
         # at most 2 e sum(w |f|) + e^2 A, and sum(w |f|) <= sqrt(A I) by
         # Cauchy-Schwarz: the weights are positive and sum to the box area A.
@@ -233,14 +236,27 @@ def purity_s1(w: WignerField, theta: float,
                            transform=P_REFLECT, theta=theta, error_estimate=err)
 
 
+# Rounding of the Simon eigenvalue in units of eps ||V||_F.  Forming V from
+# its parameters rounds each entry once or twice, and a Hermitian eigensolver
+# is backward stable with a perturbation of a few eps ||A||_2 for a 4x4
+# matrix; by Weyl's inequality each moves the eigenvalue by at most its norm,
+# and ||.||_2 <= ||.||_F.  16 covers both with a margin of two.
+_SIMON_ROUNDING = 16.0 * float(np.finfo(float).eps)
+
+
 def simon_check(g) -> CriterionReport:
-    """Smallest eigenvalue of V + i Omega-tilde; negative means entangled."""
+    """Smallest eigenvalue of V + i Omega-tilde; negative means entangled.
+
+    The error is the rounding bound max(1e-10, 16 eps ||V||_F), which grows
+    with the squeezing: at s = 20 the entries of V are about 1e17.
+    """
     omega_tilde = np.zeros((4, 4))
     omega_tilde[0, 1], omega_tilde[1, 0] = 1.0, -1.0
     omega_tilde[2, 3], omega_tilde[3, 2] = -1.0, 1.0
-    value = min_eigenvalue(np.asarray(g.cov, dtype=complex) + 1j * omega_tilde)
-    return CriterionReport("Simon", value, 0.0, value < -1e-10,
-                           error_estimate=1e-10)
+    cov = np.asarray(g.cov, dtype=float)
+    value = min_eigenvalue(cov + 1j * omega_tilde)
+    err = max(1e-10, _SIMON_ROUNDING * float(np.linalg.norm(cov)))
+    return CriterionReport("Simon", value, 0.0, value < -err, error_estimate=err)
 
 
 def duan_check(g) -> CriterionReport:

@@ -15,7 +15,13 @@ import numpy as np
 
 from . import oracle
 from .oracle import CutoffTooSmallError, FockDensityMatrix
-from .wigner import Envelope, WignerField, gaussian_wigner
+from .wigner import Envelope, Poly, WignerField, gaussian_wigner
+
+_TWO_PI = 2.0 * math.pi
+# The unit covariance of the Werner and cat terms, one read-only array that
+# every such field shares.
+_UNIT_COV = np.eye(4)
+_UNIT_COV.flags.writeable = False
 
 # Two-mode symplectic form in the (x_A, p_A, x_B, p_B) ordering.
 _OMEGA = np.array([
@@ -153,33 +159,44 @@ def tmsv_covariance(s: float) -> GaussianTwoMode:
 
 
 def werner_wigner(p: WernerParams) -> WignerField:
-    """Closed-form Wigner function of the Bell/identity mixture."""
+    """Closed-form Wigner function of the Bell/identity mixture.
+
+    W = bracket(xi) exp(-|xi|^2/2) / (16 pi^2) with a quartic bracket, which
+    is one term: weight 1/4, the vacuum Gaussian and the bracket as poly.
+    """
     eps = p.epsilon
     norm = 1.0 / (16.0 * math.pi ** 2)
     is_phi = p.bell == "phi+"
+
+    def bracket(xa, pa, xb, pb):
+        ra2 = xa * xa + pa * pa
+        rb2 = xb * xb + pb * pb
+        quartic = ra2 * rb2
+        if is_phi:
+            return ((1.0 + eps) * quartic + 4.0 * eps * (xa * xb - pa * pb)
+                    - 2.0 * eps * (ra2 + rb2) + 4.0 * eps)
+        return ((1.0 - eps) * quartic + 4.0 * eps * (xa * xb + pa * pb)
+                + 2.0 * eps * (ra2 + rb2) - 4.0 * eps)
 
     def evaluate(x_a, p_a, x_b, p_b):
         xa, pa, xb, pb = (np.asarray(v, dtype=float) for v in (x_a, p_a, x_b, p_b))
         ra2 = xa * xa + pa * pa
         rb2 = xb * xb + pb * pb
-        quartic = ra2 * rb2
-        if is_phi:
-            bracket = ((1.0 + eps) * quartic + 4.0 * eps * (xa * xb - pa * pb)
-                       - 2.0 * eps * (ra2 + rb2) + 4.0 * eps)
-        else:
-            bracket = ((1.0 - eps) * quartic + 4.0 * eps * (xa * xb + pa * pb)
-                       + 2.0 * eps * (ra2 + rb2) - 4.0 * eps)
-        return norm * bracket * np.exp(-0.5 * (ra2 + rb2))
+        return norm * bracket(xa, pa, xb, pb) * np.exp(-0.5 * (ra2 + rb2))
 
     env = Envelope(center=np.zeros(4), halfwidth=8.0 * math.sqrt(3.0))
-    return WignerField(evaluate=evaluate, backend="closed-form", envelope=env)
+    terms = ((0.25, np.zeros(4), _UNIT_COV, Poly(4, bracket)),)
+    return WignerField(evaluate=evaluate, backend="closed-form", envelope=env, terms=terms)
 
 
 def cat_wigner(p: CatParams) -> WignerField:
     """Closed-form Wigner function of the dephased coherent superposition.
 
     All exponents are kept nonpositive (the lobe displacement term is folded
-    into the exponentials) so large gamma stays overflow-free.
+    into the exponentials) so large gamma stays overflow-free.  As terms the
+    field is four unit-covariance Gaussians: lobes at +-(2g, 0, 2g, 0) and
+    fringes at +-i(0, 2g, 0, 2g), whose e^(-4 g^2) is the complex mean's own
+    exponent (Bourassa et al., PRX Quantum 2, 040315 (2021)).
     """
     gamma, eps = p.gamma, p.epsilon
     sgn = 1.0 if p.sign == "plus" else -1.0
@@ -200,7 +217,15 @@ def cat_wigner(p: CatParams) -> WignerField:
 
     halfwidth = 8.0 * math.sqrt(4.0 * gamma * gamma + 1.0)
     env = Envelope(center=np.zeros(4), halfwidth=halfwidth)
-    return WignerField(evaluate=evaluate, backend="closed-form", envelope=env)
+    # N integrates to 1 over phase space, so the weights are (2 pi)^2 / denom
+    # times each term's coefficient in W.
+    lobe = np.array([2.0 * gamma, 0.0, 2.0 * gamma, 0.0])
+    fringe = np.array([0.0, 2.0j * gamma, 0.0, 2.0j * gamma])
+    unit = _TWO_PI ** 2 / denom
+    terms = tuple((weight, mean, _UNIT_COV, None) for weight, mean in (
+        (unit * lobe_w, lobe), (unit * lobe_w, -lobe),
+        (unit * sgn * eps, fringe), (unit * sgn * eps, -fringe)))
+    return WignerField(evaluate=evaluate, backend="closed-form", envelope=env, terms=terms)
 
 
 def default_cutoff(spec) -> int:

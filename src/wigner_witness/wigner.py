@@ -1,12 +1,14 @@
 """Wigner-field evaluation engines and transformed phase-space slices.
 
 A WignerField wraps a vectorized evaluator W(x_A, p_A, x_B, p_B) together
-with a Gaussian envelope used to truncate quadrature domains.  Every slice
-criterion integrates W over an affine 2-plane u -> C u + d of phase space,
-and SlicePlane is that one geometry for all of them: it maps quadrature
-nodes to phase-space points, gives (C, d) to the closed-form integrals and
-derives the quadrature box from the envelope.  integrate_slice is the one
-place a slice integral picks its route, closed form or quadrature.
+with a Gaussian envelope used to truncate quadrature domains and, when the
+field is a finite sum of polynomial-times-Gaussian terms, that term list.
+Every slice criterion integrates W over an affine 2-plane u -> C u + d of
+phase space, and SlicePlane is that one geometry for all of them: it maps
+quadrature nodes to phase-space points, gives (C, d) to the exact
+integrals and derives the quadrature box from the envelope.  A plane whose
+shifts are arrays is a stack of parallel planes sharing C.  integrate_slice
+is the one place a slice integral picks its route, exact or quadrature.
 
 Conventions: [x, p] = 2i, vacuum variance 1, so the vacuum Wigner function
 is exp(-(x^2+p^2)/2)/(2 pi) per mode and alpha = (x + i p)/2.
@@ -16,16 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import FULL_PLANE, Region, Transform2, apply_transform, check_theta, invert_transform
 from .oracle import FockDensityMatrix, destroy, expectation
-from .quadrature import Box, IntegralResult, QuadratureSpec, _err_floor, integrate, integrate_abs
+from .quadrature import _BLOCK, Box, IntegralResult, QuadratureSpec, _err_floor, integrate, integrate_abs
 
 _TWO_PI = 2.0 * math.pi
+# Relative rounding of one exact term: a few dozen correctly rounded
+# operations, plus the absolute rounding of its exponent (added per term).
+_ROUNDING_OPS = 64.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -45,19 +51,33 @@ class Envelope:
                              f"halfwidth, got {c!r} and {self.halfwidth!r}")
 
 
+class Poly(NamedTuple):
+    """Polynomial factor of a term: total degree and a vectorized evaluator
+    of the four phase-space coordinates (real or complex arrays)."""
+
+    degree: int
+    evaluate: Callable[..., np.ndarray]
+
+
 @dataclass(frozen=True)
 class WignerField:
     """Two-mode Wigner function with an evaluation backend.
 
-    `gaussians` is an optional tuple of (weight, mean, covariance) triples
-    set when the field is an explicit Gaussian mixture; the closed-form
-    routes (integrate_slice, the purity criterion) use it to bypass quadrature.
+    `terms`, when set, writes the field exactly as a tuple of
+    (weight, mean, cov, poly) entries, W = Re sum weight poly(xi) N(xi),
+    where N is the normalized Gaussian of the mean and covariance and poly is
+    a Poly or None for the constant 1.  A complex mean a + ib stands for
+    N(xi) = exp(-(xi - mu)^T V^-1 (xi - mu)/2 - b^T V^-1 b/2) / ((2 pi)^2 sqrt(det V)),
+    whose modulus is the real Gaussian at a: its e^(-b^T V^-1 b/2) sits in
+    the exponent, so neither the term nor its slice integral overflows.  The
+    exact routes (integrate_slice, the purity criterion) read it to bypass
+    quadrature; fields without terms (the Fock engine) take quadrature.
     """
 
     evaluate: Callable[..., np.ndarray]
     backend: str
     envelope: Envelope
-    gaussians: tuple | None = None
+    terms: tuple | None = None
     rho: FockDensityMatrix | None = None
 
     def __call__(self, x_a, p_a, x_b, p_b):
@@ -65,9 +85,26 @@ class WignerField:
 
     @cached_property
     def precisions(self) -> tuple:
-        """(V^-1, sqrt(det V)) per Gaussian component, computed once per field."""
-        return tuple((np.linalg.inv(cov), math.sqrt(np.linalg.det(cov)))
-                     for _, _, cov in self.gaussians)
+        """(V^-1, sqrt(det V), real part of the mean, V^-1 times its imaginary
+        part or None) per term, computed once per field.  Terms that hold the
+        same covariance array share one V^-1 object."""
+        shared: dict = {}
+        out = []
+        for _, mean, cov, _ in self.terms:
+            if id(cov) not in shared:
+                shared[id(cov)] = (np.linalg.inv(cov), math.sqrt(np.linalg.det(cov)))
+            prec, root_det = shared[id(cov)]
+            if np.iscomplexobj(mean):
+                out.append((prec, root_det, mean.real.copy(), prec @ mean.imag))
+            else:
+                out.append((prec, root_det, mean, None))
+        return tuple(out)
+
+
+def _plain_gaussians(terms) -> bool:
+    """True when every term is an ordinary Gaussian: poly 1 and a real mean."""
+    return terms is not None and all(
+        poly is None and not np.iscomplexobj(mean) for _, mean, _, poly in terms)
 
 
 @dataclass(frozen=True)
@@ -113,9 +150,8 @@ def gaussian_wigner(state, cov=None) -> WignerField:
 
     halfwidth = 8.0 * math.sqrt(float(np.max(np.diag(v)))) + float(np.max(np.abs(mu)))
     env = Envelope(center=mu, halfwidth=max(halfwidth, 1.0))
-    gaussians = ((1.0, mu, v),)
     return WignerField(evaluate=evaluate, backend="gaussian", envelope=env,
-                       gaussians=gaussians)
+                       terms=((1.0, mu, v, None),))
 
 
 def mixture_wigner(fields, weights) -> WignerField:
@@ -138,16 +174,14 @@ def mixture_wigner(fields, weights) -> WignerField:
     halfwidth = max(
         c.envelope.halfwidth + float(np.max(np.abs(c.envelope.center - center)))
         for c in comps)
-    gaussians: tuple | None = None
-    if all(c.gaussians is not None for c in comps):
-        merged = []
-        for wi, ci in zip(w, comps):
-            merged.extend((wi * gw, gm, gv) for gw, gm, gv in ci.gaussians)
-        gaussians = tuple(merged)
+    terms: tuple | None = None
+    if all(c.terms is not None for c in comps):
+        terms = tuple((wi * weight, mean, cov, poly)
+                      for wi, ci in zip(w, comps) for weight, mean, cov, poly in ci.terms)
     backend = comps[0].backend if len({c.backend for c in comps}) == 1 else "closed-form"
     return WignerField(evaluate=evaluate, backend=backend,
                        envelope=Envelope(center=center, halfwidth=halfwidth),
-                       gaussians=gaussians)
+                       terms=terms)
 
 
 def _mode_kernel(x: np.ndarray, p: np.ndarray, cutoff: int) -> np.ndarray:
@@ -296,7 +330,8 @@ class SlicePlane(NamedTuple):
 
     u = (x, p) are the integration variables; the first image pair is mode A
     and the second mode B.  A NamedTuple because the optimiser builds one per
-    objective call.
+    objective call.  With 1-D arrays as shifts it is a stack of parallel
+    planes: matrix() then gives d of shape (4, n), and unstack() the planes.
     """
 
     t: Transform2
@@ -317,10 +352,20 @@ class SlicePlane(NamedTuple):
         """(C, d) with plane(u) = C u + d, the input of the closed-form integrals."""
         t, a, (ax, ap), b, (bx, bp), out = self
         s = out * b
-        c_mat = np.array([[a, 0.0], [0.0, a], [s * t.a, s * t.b], [s * t.c, s * t.d]])
+        c_mat = np.array([a, 0.0, 0.0, a, s * t.a, s * t.b, s * t.c, s * t.d]).reshape(4, 2)
         d_vec = np.array([ax, ap, out * (t.a * bx + t.b * bp + t.x0),
                           out * (t.c * bx + t.d * bp + t.p0)])
         return c_mat, d_vec
+
+    @property
+    def stacked(self) -> bool:
+        return np.ndim(self.a_shift[0]) > 0
+
+    def unstack(self) -> list[SlicePlane]:
+        """The single planes of a stack, one per entry of the shift arrays."""
+        shifts = [np.ravel(v).tolist() for v in (*self.a_shift, *self.b_shift)]
+        return [self._replace(a_shift=(ax, ap), b_shift=(bx, bp))
+                for ax, ap, bx, bp in zip(*shifts)]
 
     def box(self, env: Envelope) -> Box:
         """Quadrature box: the pre-image of the envelope hypercube, intersecting
@@ -345,24 +390,111 @@ class SlicePlane(NamedTuple):
                    hx=0.5 * (x_hi - x_lo), hp=0.5 * (p_hi - p_lo))
 
 
-def _gaussian_line_integral(w: WignerField, plane: SlicePlane) -> tuple[float, float]:
-    """Closed-form integral of a Gaussian mixture over the plane, with a rounding-level error."""
-    c_mat, d_vec = plane.matrix()
+@lru_cache(maxsize=16)
+def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k x k Gauss-Hermite rule for the standard normal on the plane: nodes
+    (2, k*k) and weights summing to 1.  Loaded on first use, like _leggauss."""
+    x, w = np.polynomial.hermite_e.hermegauss(k)
+    nodes = np.stack([np.repeat(x, k), np.tile(x, k)])
+    weights = np.outer(w, w).ravel() / _TWO_PI
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _rule_size(poly: Poly | None) -> int:
+    # k nodes per axis integrate degree 2k - 1 exactly.
+    return 1 if poly is None else poly.degree // 2 + 1
+
+
+def _exact_terms(w: WignerField, c_mat: np.ndarray, d_vec: np.ndarray):
+    """Integral of every term over the plane(s) C u + d, d of shape (4,) or
+    (4, n), with the sum of |term contributions| times their rounding scale.
+
+    For a term with precision P and delta = d - mean, the exponent in u is
+    -(u^T M u + 2 u^T v + delta^T P delta)/2 with M = C^T P C, v = C^T P delta.
+    Completing the square about u0 = -M^-1 v leaves the Schur form
+    quad = delta^T P delta - v^T M^-1 v, and u = u0 + L z with L L^T = M^-1
+    turns the rest into the standard normal in z:
+        integral = weight exp(-quad/2) / (2 pi sqrt(det V det M)) E_z[poly(C u + d)],
+    which the k x k Gauss-Hermite rule gives exactly.  For poly 1 that is
+    one node at z = 0, and the closed form below.  A complex mean a + ib
+    splits quad into a real part quad(d - a) + w^T M^-1 w (w = C^T P b) that
+    is never negative, so nothing cancels, and a phase (d - a)^T J b with
+    J = P - P C M^-1 C^T P; u0 then moves into the complex plane, which a
+    polynomial factor allows.
+    """
+    stacked = d_vec.ndim > 1
+    exp = np.exp if stacked else math.exp
+    c0, c1 = c_mat[:, 0], c_mat[:, 1]
     total = 0.0
-    for (weight, mu, _), (prec, root_det) in zip(w.gaussians, w.precisions):
+    scale = 0.0
+    last = None
+    for (weight, _, _, poly), (prec, root_det, mu, pb) in zip(w.terms, w.precisions):
+        if prec is not last:        # terms sharing a covariance share M
+            last = prec
+            pc = prec @ c_mat
+            a = c0 @ pc[:, 0]
+            b = c0 @ pc[:, 1]
+            d = c1 @ pc[:, 1]
+            det_m1 = a * d - b * b
         base = weight / (_TWO_PI * root_det)
-        delta = d_vec - mu
-        pc = prec @ c_mat
+        delta = d_vec - mu[:, None] if stacked else d_vec - mu
         pd = prec @ delta
-        a = c_mat[:, 0] @ pc[:, 0]
-        b = c_mat[:, 0] @ pc[:, 1]
-        d = c_mat[:, 1] @ pc[:, 1]
-        det_m1 = a * d - b * b
-        v0 = c_mat[:, 0] @ pd
-        v1 = c_mat[:, 1] @ pd
-        quad = delta @ pd - (d * v0 * v0 - 2.0 * b * v0 * v1 + a * v1 * v1) / det_m1
-        total += base * math.exp(-0.5 * quad) / math.sqrt(det_m1)
-    return total, _err_floor(total)
+        v0 = c0 @ pd
+        v1 = c1 @ pd
+        dpd = np.einsum("i...,i...->...", delta, pd) if stacked else float(delta @ pd)
+        quad = dpd - (d * v0 * v0 - 2.0 * b * v0 * v1 + a * v1 * v1) / det_m1
+        if pb is None:
+            size = base * exp(-0.5 * quad) / math.sqrt(det_m1)
+            arg = 0.5 * dpd
+        else:
+            w0 = c0 @ pb
+            w1 = c1 @ pb
+            extra = (d * w0 * w0 - 2.0 * b * w0 * w1 + a * w1 * w1) / det_m1
+            phase = pb @ delta - (d * v0 * w0 - b * (v0 * w1 + v1 * w0) + a * v1 * w1) / det_m1
+            size = base * exp(-0.5 * (quad + extra)) / math.sqrt(det_m1)
+            arg = 0.5 * (dpd + extra) + abs(phase)
+            cos_phase, sin_phase = np.cos(phase), np.sin(phase)
+        if poly is None:
+            value = size if pb is None else size * cos_phase
+            magnitude = abs(size)
+        else:
+            # M = R R^T (Cholesky), so L = R^-T: upper triangular, and no
+            # difference of near-equal numbers however anisotropic M is.
+            if pb is not None:
+                v0, v1 = v0 - 1j * w0, v1 - 1j * w1
+            r22 = math.sqrt(det_m1 / a)
+            nodes, weights = _hermite_rule(_rule_size(poly))
+            u0x = (b * v1 - d * v0) / det_m1
+            u0p = (b * v0 - a * v1) / det_m1
+            ux = u0x[..., None] + nodes[0] / math.sqrt(a) - nodes[1] * (b / (a * r22))
+            up = u0p[..., None] + nodes[1] / r22
+            vals = poly.evaluate(*(c_mat[i, 0] * ux + c_mat[i, 1] * up + d_vec[i][..., None]
+                                   for i in range(4)))
+            mean = vals @ weights
+            value = size * (mean.real if pb is None else
+                            mean.real * cos_phase - mean.imag * sin_phase)
+            magnitude = abs(size) * (np.abs(vals) @ weights)
+        total = total + value
+        scale = scale + magnitude * (_ROUNDING_OPS + arg)
+    return total, scale
+
+
+def _exact_slice(w: WignerField, plane: SlicePlane) -> IntegralResult:
+    """Exact slice integral of a field with terms; a stack of planes is done
+    in batches of at most _BLOCK phase-space points."""
+    c_mat, d_vec = plane.matrix()
+    if d_vec.ndim == 1:
+        total, scale = _exact_terms(w, c_mat, d_vec)
+        err = _err_floor(total)
+        return IntegralResult(total, err if err >= _EPS * scale else _EPS * scale, 0)
+    nodes = max(_rule_size(poly) ** 2 for _, _, _, poly in w.terms)
+    step = max(1, _BLOCK // nodes)
+    parts = [_exact_terms(w, c_mat, d_vec[:, i:i + step]) for i in range(0, d_vec.shape[1], step)]
+    total = np.concatenate([t for t, _ in parts])
+    scale = np.concatenate([s for _, s in parts])
+    return IntegralResult(total, np.maximum(_EPS * scale, _err_floor(total)), evaluations=0)
 
 
 def make_slice(field: WignerField, t: Transform2, theta: float) -> SliceField:
@@ -382,16 +514,26 @@ def reduced_mode_wigner(field: WignerField, theta: float, t: Transform2,
 
     Returns (X, P) -> the IntegralResult of W(cos*x + sin*X, cos*p + sin*P,
     t(sin*x - cos*X, sin*p - cos*P)) over (x, p), so a caller can carry the
-    inner error estimate.  With t the p-reflection this is the reduced mode
-    used by the purity criterion; with theta = pi/4 and t near -identity it is
-    the summed-mode function whose value doubles the criterion-III integral.
+    inner error estimate.  X and P may be arrays: every point is a plane with
+    the same C, and the whole stack goes to integrate_slice in one call, with
+    value and error of the broadcast shape.  With t the p-reflection this is
+    the reduced mode used by the purity criterion; with theta = pi/4 and t
+    near -identity it is the summed-mode function whose value doubles the
+    criterion-III integral.
     """
     check_theta(theta)
     ct, st = math.cos(theta), math.sin(theta)
 
-    def field_fn(big_x: float, big_p: float) -> IntegralResult:
-        plane = SlicePlane(t, ct, (st * big_x, st * big_p), st, (-ct * big_x, -ct * big_p))
-        return integrate_slice(SliceField(field, plane), spec)
+    def field_fn(big_x, big_p) -> IntegralResult:
+        xs, ps = np.broadcast_arrays(np.asarray(big_x, float), np.asarray(big_p, float))
+        x, p = xs.ravel(), ps.ravel()
+        plane = SlicePlane(t, ct, (st * x, st * p), st, (-ct * x, -ct * p))
+        res = integrate_slice(SliceField(field, plane), spec)
+        if not xs.shape:
+            return IntegralResult(float(res.value[0]), float(res.error_estimate[0]),
+                                  res.evaluations)
+        return IntegralResult(res.value.reshape(xs.shape),
+                              res.error_estimate.reshape(xs.shape), res.evaluations)
 
     return field_fn
 
@@ -400,14 +542,27 @@ def integrate_slice(slc: SliceField, spec: QuadratureSpec | None = None,
                     absolute: bool = False, region: Region = FULL_PLANE) -> IntegralResult:
     """Integrate a slice over its box (or a region), optionally of |slice|.
 
-    A full-plane slice of a Gaussian mixture takes the closed form, with no
-    evaluations; for |slice| only if every weight is nonnegative, so |W| = W.
-    Every other slice goes to quadrature on the slice's box.
+    A full-plane slice of a field with terms is exact (Gauss-Hermite in each
+    term's whitened frame), with no evaluations; for |slice| only if every
+    term is a plain Gaussian of nonnegative weight, so |W| = W.  Every other
+    slice goes to quadrature on the slice's box.  A stack of planes gives
+    value and error arrays, one entry per plane, and the summed evaluations.
     """
-    gaussians = slc.field.gaussians
-    if (gaussians is not None and region.kind == "full-plane"
-            and (not absolute or all(g[0] >= 0.0 for g in gaussians))):
-        return IntegralResult(*_gaussian_line_integral(slc.field, slc.plane), evaluations=0)
+    terms = slc.field.terms
+    if (terms is not None and region.kind == "full-plane"
+            and (not absolute or (_plain_gaussians(terms) and all(g[0] >= 0.0 for g in terms)))):
+        return _exact_slice(slc.field, slc.plane)
+    if not slc.plane.stacked:
+        return _quadrature(slc, spec, absolute, region)
+    results = [_quadrature(SliceField(slc.field, plane), spec, absolute, region)
+               for plane in slc.plane.unstack()]
+    return IntegralResult(np.array([r.value for r in results]),
+                          np.array([r.error_estimate for r in results]),
+                          sum(r.evaluations for r in results))
+
+
+def _quadrature(slc: SliceField, spec: QuadratureSpec | None, absolute: bool,
+                region: Region) -> IntegralResult:
     use = spec if spec is not None else QuadratureSpec()
     if use.box is None:
         use = replace(use, box=slc.box)

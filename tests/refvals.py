@@ -121,3 +121,36 @@ def random_standard_form(rng: np.random.Generator, symmetric_c: bool,
         if want_entangled is not None and gaussian_entangled(n, m, c1, c2) != want_entangled:
             continue
         return g, (n, m, c1, c2)
+
+
+def werner_slice_value(bell: str, epsilon: float, theta: float, transform) -> float:
+    """Criterion-1 slice of a Werner state at an arbitrary affine transform.
+
+    The integrand is a quartic times the Gaussian exp(-|C u + d|^2 / 2), so
+    a 4 x 4 Gauss-Hermite rule in the Gaussian's whitened coordinates is
+    exact however anisotropic the plane is.  transform = (a, b, c, d, x0, p0).
+    """
+    a, b, c, d, x0, p0 = transform
+    ct, st = math.cos(theta), math.sin(theta)
+    c_mat = np.array([[ct, 0.0], [0.0, ct], [st * a, st * b], [st * c, st * d]])
+    d_vec = np.array([0.0, 0.0, st * x0, st * p0])
+    m = c_mat.T @ c_mat
+    m_inv = np.linalg.inv(m)
+    v = c_mat.T @ d_vec
+    u0 = -m_inv @ v
+    low = np.linalg.cholesky(m_inv)
+    z, wz = np.polynomial.hermite_e.hermegauss(4)       # weight exp(-z^2 / 2)
+    total = 0.0
+    for z1, w1 in zip(z, wz):
+        for z2, w2 in zip(z, wz):
+            xi = c_mat @ (u0 + low @ np.array([z1, z2])) + d_vec
+            ra2, rb2 = xi[0] ** 2 + xi[1] ** 2, xi[2] ** 2 + xi[3] ** 2
+            if bell == "phi+":
+                bracket = ((1 + epsilon) * ra2 * rb2 + 4 * epsilon * (xi[0] * xi[2] - xi[1] * xi[3])
+                           - 2 * epsilon * (ra2 + rb2) + 4 * epsilon)
+            else:
+                bracket = ((1 - epsilon) * ra2 * rb2 + 4 * epsilon * (xi[0] * xi[2] + xi[1] * xi[3])
+                           + 2 * epsilon * (ra2 + rb2) - 4 * epsilon)
+            total += w1 * w2 * bracket
+    quad = d_vec @ d_vec - v @ m_inv @ v
+    return math.exp(-0.5 * quad) / math.sqrt(np.linalg.det(m)) * total / (16 * math.pi ** 2)

@@ -182,6 +182,44 @@ def test_sweep_output_file_matches_stdout(tmp_path):
     assert out.read_text() == streamed
 
 
+# Werner phi+ at epsilon = 0.2 is separable.  On this strongly anisotropic
+# plane (theta near pi/2, |log t| near 3) the order-80 and order-160
+# Gauss-Legendre routes once reported violated: true (0.890 +- 0.294).
+_ANISOTROPIC = (-13.058052071090582, 9.924749372877825, -9.19336836107752,
+                7.0639844575635165, 2.840761648598477, -1.209592661898746)
+_NEAR_HALF_PI = 1.5697963267948967
+
+
+@pytest.mark.parametrize("order", [[], ["--order", "160"]], ids=["default", "order-160"])
+def test_anisotropic_werner_slice_is_no_false_certificate(order):
+    proc = run_cli("evaluate", "--state", "werner-phi+", "--epsilon", "0.2",
+                   "--criterion", "c1", "--theta", repr(_NEAR_HALF_PI),
+                   "--transform=" + ",".join(repr(v) for v in _ANISOTROPIC), *order)
+    payload = json.loads(proc.stdout)
+    want = refvals.werner_slice_value("phi+", 0.2, _NEAR_HALF_PI, _ANISOTROPIC)
+    assert abs(want - (-3.3976e-4)) < 1e-8
+    assert abs(payload["value"] - want) < 1e-9
+    assert payload["violated"] is False
+
+
+def test_cold_tmsv_evaluate_never_imports_numpy_polynomial():
+    # The Gauss-Legendre and Gauss-Hermite nodes load numpy.polynomial on
+    # first use (about 5 ms of import); a closed-form tmsv call needs neither.
+    script = (
+        "import contextlib, io, sys\n"
+        "import wigner_witness.cli\n"
+        "argv = ['evaluate', '--state', 'tmsv', '--s', '0.5', '--criterion', 'c1',\n"
+        "        '--theta', '0.7853981633974483']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = wigner_witness.cli.main(argv)\n"
+        "print(code, 'numpy.polynomial' in sys.modules)\n")
+    path = [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_evaluate_and_oracle_never_import_scipy():
     # scipy is the optimiser's lazy dependency; every other command must run
     # on numpy alone so that a cold CLI call does not pay for importing it.

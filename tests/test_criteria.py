@@ -7,9 +7,10 @@ import pytest
 from wigner_witness import (
     CatParams, IDENTITY, NEG_IDENTITY, P_REFLECT, QuadratureSpec, TmstParams,
     WernerParams,bell_chsh, criterion1, criterion2, criterion3, duan_check,
-    fock_wigner, gaussian_wigner, make_transform, ppt_check, pseudospin_epr,
-    purity_s1, reduced_mode_wigner, simon_check, standard_form, state_to_fock,
-    state_to_wigner, tmst_covariance, vacuum,
+    diagonal_slice, fock_wigner, gaussian_wigner, integrate_slice, make_slice,
+    make_transform, ppt_check, pseudospin_epr, purity_s1, reduced_mode_wigner,
+    simon_check, standard_form, state_to_fock, state_to_wigner, tmst_covariance,
+    vacuum,
 )
 from wigner_witness.criteria import _purity_fock
 from wigner_witness.oracle import displaced_parity_point
@@ -33,7 +34,7 @@ def test_tmsv_slice_closed_form():
 def test_tmsv_slice_quadrature_route():
     # same value with the closed-form component stripped, forcing quadrature
     s = 0.5
-    w = replace(state_to_wigner(TmstParams(s=s)), gaussians=None)
+    w = replace(state_to_wigner(TmstParams(s=s)), terms=None)
     rep = criterion1(w, P_REFLECT, QUARTER)
     assert abs(rep.value - refvals.tmsv_slice_value(s)) < 1e-9
 
@@ -89,9 +90,13 @@ def test_c2_dominates_c1():
     ]
     for w in states:
         for theta in (0.5, QUARTER):
-            v1 = criterion1(w, P_REFLECT, theta).value
-            v2 = criterion2(w, P_REFLECT, theta).value
-            assert v2 >= abs(v1) - 1e-10
+            # C1 on the quadrature route shares C2's nodes when the slice is
+            # nonnegative; the exact C1 differs from both by their rule error.
+            v1 = criterion1(replace(w, terms=None), P_REFLECT, theta).value
+            r2 = criterion2(w, P_REFLECT, theta)
+            assert r2.value >= abs(v1) - 1e-10
+            exact = criterion1(w, P_REFLECT, theta).value
+            assert r2.value >= abs(exact) - r2.error_estimate
 
 
 def test_c2_equals_c1_on_nonnegative_slice():
@@ -138,6 +143,38 @@ def test_c2_region_restriction():
 
 # --- criterion 3 -----------------------------------------------------------
 
+@pytest.mark.parametrize("gamma", [4.0, 5.0, 6.0, 8.0])
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_large_cats_are_exact_on_the_default_route(gamma, eps):
+    # Quadrature on one 8-sigma box aliased here (0.050 +- 0.030 against
+    # 0.318 at gamma = 5); the complex-mean terms integrate exactly.
+    plus = state_to_wigner(CatParams(gamma=gamma, epsilon=eps, sign="plus"))
+    minus = state_to_wigner(CatParams(gamma=gamma, epsilon=eps, sign="minus"))
+    for res, want in ((integrate_slice(make_slice(plus, P_REFLECT, QUARTER)),
+                       refvals.cat_c1_value(gamma, eps)),
+                      (integrate_slice(diagonal_slice(minus, NEG_IDENTITY)),
+                       refvals.cat_c3_value(gamma, eps))):
+        assert res.evaluations == 0
+        assert abs(res.value - want) <= 1e-12
+        assert abs(res.value - want) <= res.error_estimate
+    assert criterion1(plus, P_REFLECT, QUARTER).violated == (eps > 0)
+    assert criterion3(minus, NEG_IDENTITY).violated == (eps > refvals.cat_c3_threshold(gamma))
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_cat_forced_quadrature_agrees_with_exact_route(sign):
+    # Small cats, where the single box resolves the lobes: the quadrature
+    # route stays covered and within its own estimate of the exact value.
+    for gamma, eps in ((0.5, 0.25), (1.0, 1.0)):
+        w = state_to_wigner(CatParams(gamma=gamma, epsilon=eps, sign=sign))
+        forced = replace(w, terms=None)
+        t = make_transform(0.8, 0.3, -0.2, 1.175, x0=0.4, p0=-0.3)
+        for exact, quad in ((criterion1(w, t, 0.6), criterion1(forced, t, 0.6)),
+                            (criterion3(w, t), criterion3(forced, t))):
+            assert quad.error_estimate > 0
+            assert abs(quad.value - exact.value) <= quad.error_estimate
+
+
 def test_werner_summed_mode_values():
     for eps in (0.2, 1 / 3, 0.9):
         w = state_to_wigner(WernerParams(bell="psi+", epsilon=eps))
@@ -180,7 +217,8 @@ def test_c3_offset_transform():
 @pytest.mark.parametrize("w", [
     state_to_wigner(TmstParams(s=0.5, eta=0.6, r=0.4)),
     state_to_wigner(CatParams(gamma=1.0, epsilon=0.5, sign="minus")),
-], ids=["tmst", "cat-minus"])
+    state_to_wigner(WernerParams(bell="psi+", epsilon=0.5)),
+], ids=["tmst", "cat-minus", "werner"])
 def test_slice_criteria_take_one_route_call(w, monkeypatch):
     from wigner_witness import criteria
     real = criteria.integrate_slice
@@ -191,13 +229,15 @@ def test_slice_criteria_take_one_route_call(w, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(criteria, "integrate_slice", spy)
-    for run in (lambda: criterion1(w, P_REFLECT, QUARTER),
-                lambda: criterion2(w, P_REFLECT, QUARTER),
-                lambda: criterion3(w, NEG_IDENTITY)):
+    # C1 and C3 are exact on every field with terms; C2 integrates |W|, which
+    # is exact only for a mixture of real Gaussians.
+    for run, exact in ((lambda: criterion1(w, P_REFLECT, QUARTER), True),
+                       (lambda: criterion2(w, P_REFLECT, QUARTER), w.backend == "gaussian"),
+                       (lambda: criterion3(w, NEG_IDENTITY), True)):
         results.clear()
         rep = run()
         assert len(results) == 1 and rep.value == results[0].value
-        assert (results[0].evaluations == 0) == (w.gaussians is not None)
+        assert (results[0].evaluations == 0) == exact
 
 
 # --- purity ----------------------------------------------------------------
@@ -207,7 +247,7 @@ def test_purity_routes_agree():
     par = TmstParams(s=s)
     w_gauss = state_to_wigner(par)
     w_fock = fock_wigner(state_to_fock(par, cutoff=24))
-    w_quad = replace(w_gauss, gaussians=None, rho=None)
+    w_quad = replace(w_gauss, terms=None, rho=None)
     for theta in (0.6, QUARTER):
         want = refvals.purity_curve(math.cosh(2 * s), math.cosh(2 * s),
                                     math.sinh(2 * s), theta)
@@ -225,6 +265,17 @@ def test_nested_purity_error_covers_inner_truncation(bell, epsilon, theta, order
     par = WernerParams(bell=bell, epsilon=epsilon)
     exact = _purity_fock(state_to_fock(par, cutoff=2), theta)
     rep = purity_s1(state_to_wigner(par), theta, QuadratureSpec(order=order))
+    assert abs(rep.value - exact) <= rep.error_estimate
+
+
+@pytest.mark.parametrize("order", [12, 16])
+def test_nested_purity_at_low_order_is_accurate(order):
+    # The outer rule keeps at least 48 nodes per axis and the inner slices
+    # are exact, so a low requested order no longer returns 0.517 +- 1251.
+    par = WernerParams(bell="phi+", epsilon=0.8)
+    exact = _purity_fock(state_to_fock(par, cutoff=2), QUARTER)
+    rep = purity_s1(state_to_wigner(par), QUARTER, QuadratureSpec(order=order))
+    assert rep.error_estimate <= 1e-3
     assert abs(rep.value - exact) <= rep.error_estimate
 
 
@@ -260,6 +311,14 @@ def test_simon_boundary_matches_analytic_curve():
     below = simon_check(tmst_covariance(TmstParams(s=0.5, eta=eta_star * 0.95, r=r)))
     above = simon_check(tmst_covariance(TmstParams(s=0.5, eta=eta_star * 1.05, r=r)))
     assert not below.violated and above.violated
+
+
+@pytest.mark.parametrize("s", [0.5, 5.0, 10.0, 20.0, 25.0])
+def test_simon_error_covers_rounding_at_large_squeezing(s):
+    # tmsv: the smallest eigenvalue of V + i Omega-tilde is e^{-2s} - 1.
+    rep = simon_check(tmst_covariance(TmstParams(s=s)))
+    assert abs(rep.value - (math.exp(-2.0 * s) - 1.0)) <= rep.error_estimate
+    assert rep.error_estimate >= 1e-10
 
 
 def test_duan_tmsv_value():

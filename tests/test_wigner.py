@@ -18,7 +18,8 @@ from wigner_witness.oracle import (
 from wigner_witness.core import SymplecticParam, symplectic_from_params
 from wigner_witness.states import TmstParams
 from wigner_witness.wigner import (
-    Envelope, SliceField, SlicePlane, _mode_kernel, single_mode_fock_wigner,
+    Envelope, Poly, SliceField, SlicePlane, WignerField, _mode_kernel,
+    single_mode_fock_wigner,
 )
 
 
@@ -136,7 +137,7 @@ def test_mixture_wigner_is_convex_combination():
     pt = (0.5, -0.2, 0.1, 0.3)
     want = 0.25 * w1.evaluate(*pt) + 0.75 * w2.evaluate(*pt)
     assert abs(wm.evaluate(*pt) - want) < 1e-15
-    assert wm.gaussians is not None  # closed-form components carried through
+    assert wm.terms is not None  # closed-form components carried through
 
 
 def test_slice_through_vacuum_integrates_below_bound():
@@ -188,7 +189,7 @@ def test_reduced_mode_p_reflect_normalization():
 def test_reduced_mode_of_gaussian_is_closed_form():
     w = state_to_wigner(TmstParams(s=0.5, eta=0.6, r=0.4))
     exact = reduced_mode_wigner(w, 0.9, P_REFLECT)
-    forced = reduced_mode_wigner(replace(w, gaussians=None), 0.9, P_REFLECT,
+    forced = reduced_mode_wigner(replace(w, terms=None), 0.9, P_REFLECT,
                                  spec=QuadratureSpec(order=160))
     for X, P in ((0.0, 0.0), (0.8, -0.5), (-1.1, 0.4)):
         res = exact(X, P)
@@ -275,7 +276,43 @@ def test_gaussian_slice_on_a_region_takes_quadrature(absolute):
     region = rectangle(-2, 2, -1, 1)
     res = integrate_slice(make_slice(_PLANE_FIELD, P_REFLECT, 0.7),
                           absolute=absolute, region=region)
-    forced = integrate_slice(make_slice(replace(_PLANE_FIELD, gaussians=None), P_REFLECT, 0.7),
+    forced = integrate_slice(make_slice(replace(_PLANE_FIELD, terms=None), P_REFLECT, 0.7),
                              absolute=absolute, region=region)
     assert res.evaluations > 0
     assert res == forced
+
+
+def _term_field(mean, cov, poly):
+    """A one-term field W = Re poly(xi) N(xi) evaluated directly, with terms."""
+    mean = np.asarray(mean)
+    prec = np.linalg.inv(cov)
+    norm = 1.0 / (TWO_PI ** 2 * math.sqrt(np.linalg.det(cov)))
+    shift = 0.5 * mean.imag @ prec @ mean.imag
+
+    def evaluate(x_a, p_a, x_b, p_b):
+        xi = np.stack(np.broadcast_arrays(x_a, p_a, x_b, p_b), axis=-1) - mean
+        q = np.einsum("...i,ij,...j->...", xi, prec, xi)
+        return np.real(poly.evaluate(x_a, p_a, x_b, p_b) * np.exp(-0.5 * q - shift)) * norm
+
+    env = Envelope(center=mean.real, halfwidth=10.0)
+    return WignerField(evaluate=evaluate, backend="closed-form", envelope=env,
+                       terms=((1.0, mean, cov, poly),))
+
+
+@pytest.mark.parametrize("mean", [[0.3, -0.2, 0.5, 0.1], [0.3, 0.8j, -0.2, 0.5 - 0.6j]],
+                         ids=["real", "complex"])
+def test_polynomial_term_matches_quadrature(mean):
+    cov = tmsv_covariance(0.3).cov + 0.2 * np.eye(4)
+    poly = Poly(3, lambda xa, pa, xb, pb: 1.0 + xa * xb * pb - 0.5 * pa * pa + xb)
+    w = _term_field(mean, cov, poly)
+    t = make_transform(0.9, 0.4, -0.3, 0.977777777777778, x0=0.3, p0=-0.2)
+    for slc in (make_slice(w, t, 0.6), diagonal_slice(w, t)):
+        exact = integrate_slice(slc)
+        quad = integrate_slice(slc, QuadratureSpec(order=120, box=Box(0, 0, 9, 9)))
+        assert exact.evaluations == 0
+        assert abs(exact.value - quad.value) < 1e-12
+    # A stack of reduced-mode planes against one quadrature per plane.
+    stack = reduced_mode_wigner(w, 0.7, t)(np.array([0.0, 0.4]), np.array([0.2, -0.1]))
+    forced = reduced_mode_wigner(replace(w, terms=None), 0.7, t, spec=QuadratureSpec(order=120))
+    for i, (x, p) in enumerate(((0.0, 0.2), (0.4, -0.1))):
+        assert abs(stack.value[i] - forced(x, p).value) < 1e-12
