@@ -90,13 +90,9 @@ def test_c2_dominates_c1():
     ]
     for w in states:
         for theta in (0.5, QUARTER):
-            # C1 on the quadrature route shares C2's nodes when the slice is
-            # nonnegative; the exact C1 differs from both by their rule error.
-            v1 = criterion1(replace(w, terms=None), P_REFLECT, theta).value
-            r2 = criterion2(w, P_REFLECT, theta)
-            assert r2.value >= abs(v1) - 1e-10
-            exact = criterion1(w, P_REFLECT, theta).value
-            assert r2.value >= abs(exact) - r2.error_estimate
+            v1 = criterion1(w, P_REFLECT, theta).value
+            v2 = criterion2(w, P_REFLECT, theta).value
+            assert v2 >= abs(v1) - 1e-10
 
 
 def test_c2_equals_c1_on_nonnegative_slice():
@@ -319,6 +315,9 @@ def test_simon_error_covers_rounding_at_large_squeezing(s):
     rep = simon_check(tmst_covariance(TmstParams(s=s)))
     assert abs(rep.value - (math.exp(-2.0 * s) - 1.0)) <= rep.error_estimate
     assert rep.error_estimate >= 1e-10
+    # Every tmsv is entangled, but above s of about 16.5 the rounding bound
+    # passes the margin of 1, so the check declines to certify.
+    assert rep.violated == (s <= 10.0)
 
 
 def test_duan_tmsv_value():
