@@ -89,6 +89,26 @@ def cat_c3_threshold(gamma: float) -> float:
     return 1.0 / (1.0 + math.exp(4 * gamma ** 2))
 
 
+def cat_minus_c2_bracket(gamma: float, epsilon: float) -> tuple[float, float]:
+    """Lower and upper bounds on criterion 2 of the odd cat at (p-reflection, pi/4).
+
+    The slice is a sum of three unit-width Gaussians c_k exp(-|u - mu_k|^2 / 2):
+    the lobes at (+-2 sqrt2 gamma, 0) and the negative fringe at 0.  Upper:
+    the triangle inequality.  Lower: |integral over a strip| summed over the
+    x-strips cut midway between the centres, tight when the lobes are apart.
+    """
+    q = math.exp(-4 * gamma * gamma)
+    denom = 8 * math.pi ** 2 * (1 - q)
+    shift = 2 * math.sqrt(2) * gamma
+    lobe = (1 - (1 - epsilon) * q) / denom
+    terms = ((lobe, -shift), (-2 * epsilon / denom, 0.0), (lobe, shift))
+    cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))
+    cuts = (-math.inf, -0.5 * shift, 0.5 * shift, math.inf)
+    lower = sum(abs(sum(c * (cdf(hi - mu) - cdf(lo - mu)) for c, mu in terms))
+                for lo, hi in zip(cuts, cuts[1:]))
+    return TWO_PI * lower, TWO_PI * sum(abs(c) for c, _ in terms)
+
+
 def duan_tmsv_value(s: float) -> float:
     return 4.0 * math.exp(-2.0 * s)
 
@@ -154,3 +174,18 @@ def werner_slice_value(bell: str, epsilon: float, theta: float, transform) -> fl
             total += w1 * w2 * bracket
     quad = d_vec @ d_vec - v @ m_inv @ v
     return math.exp(-0.5 * quad) / math.sqrt(np.linalg.det(m)) * total / (16 * math.pi ** 2)
+
+
+# Full-plane criterion 2 of Fock product states |na, nb> at cutoff 6, on two
+# slices where the 8/16 Gauss-Legendre quadtree's error estimate missed:
+# ((na, nb), theta, (a, b, c, d, x0, p0), value).  Each value is that
+# quadtree at tolerance 1e-6 and the Gauss-Kronrod bisection at 1e-7, which
+# agree to 2e-9, rounded to 8 digits.
+FOCK_C2_CASES = (
+    ((2, 0), 0.8263743080835196,
+     (0.1848674172341703, -0.9084647182348918, 1.0569883859949023, 0.21509114117832887,
+      -0.23104814743699592, 0.1690065527135423), 0.09374451),
+    ((2, 2), 1.4621488327703827,
+     (0.5425094013627458, -0.3279001815321009, 0.8160070630129113, 1.3500800798415178,
+      2.888549442100421, 0.014564983231021357), 0.13825487),
+)

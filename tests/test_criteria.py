@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from wigner_witness import (
-    CatParams, IDENTITY, NEG_IDENTITY, P_REFLECT, QuadratureSpec, TmstParams,
-    WernerParams,bell_chsh, criterion1, criterion2, criterion3, duan_check,
+    CatParams, FockDensityMatrix, IDENTITY, NEG_IDENTITY, P_REFLECT, QuadratureSpec,
+    TmstParams, WernerParams,bell_chsh, criterion1, criterion2, criterion3, duan_check,
     diagonal_slice, fock_wigner, gaussian_wigner, integrate_slice, make_slice,
     make_transform, ppt_check, pseudospin_epr, purity_s1, reduced_mode_wigner,
     simon_check, standard_form, state_to_fock, state_to_wigner, tmst_covariance,
-    vacuum,
+    Transform2, vacuum,
 )
 from wigner_witness.criteria import _purity_fock
 from wigner_witness.oracle import displaced_parity_point
@@ -135,6 +135,36 @@ def test_c2_region_restriction():
     part = criterion2(w, P_REFLECT, QUARTER, region=rectangle(-1, 1, -1, 1))
     assert part.value < full.value
     assert part.region is not None and part.region.kind == "rectangle"
+
+
+@pytest.mark.parametrize("gamma, eps", [
+    *((g, e) for g in (3.0, 4.0, 5.0, 6.0) for e in (0.0, 0.5, 1.0)),
+    # tail strips wider than the lobe spacing read low within a tiny estimate
+    (3.5, 0.655), (4.14, 0.65), (4.2, 0.68), (4.29, 0.7),
+    (1.956167856271951, 0.5004181074541962),     # the quadtree missed by 1.3e-9
+])
+def test_large_cat_c2_inside_strip_bracket(gamma, eps):
+    rep = criterion2(state_to_wigner(CatParams(gamma, eps, "minus")), P_REFLECT, QUARTER)
+    lo, hi = refvals.cat_minus_c2_bracket(gamma, eps)
+    assert lo - rep.error_estimate <= rep.value <= hi + rep.error_estimate
+
+
+def test_cat_c2_evaluation_budget():
+    # The 8/16 Gauss-Legendre quadtree took 2,030,144 evaluations here.
+    w = state_to_wigner(CatParams(1.0, 0.65, "minus"))
+    res = integrate_slice(make_slice(w, P_REFLECT, QUARTER), absolute=True)
+    assert 0 < res.evaluations <= 250_000
+
+
+@pytest.mark.parametrize("labels, theta, transform, ref", refvals.FOCK_C2_CASES,
+                         ids=["fock-20", "fock-22"])
+def test_fock_c2_estimate_covers_error(labels, theta, transform, ref):
+    vec = np.zeros(36)
+    vec[6 * labels[0] + labels[1]] = 1.0
+    w = fock_wigner(FockDensityMatrix(matrix=np.outer(vec, vec), cutoff=6))
+    rep = criterion2(w, Transform2(*transform), theta,
+                     spec=QuadratureSpec(rule="adaptive-subdivision", tolerance=1e-3))
+    assert abs(rep.value - ref) <= rep.error_estimate
 
 
 # --- criterion 3 -----------------------------------------------------------

@@ -9,7 +9,7 @@ from wigner_witness import (
     QuadratureSpec, cat_wigner, criterion2, disk_union, integrate, integrate_abs,
     rectangle,
 )
-from wigner_witness.quadrature import _BLOCK, _wave_rule
+from wigner_witness.quadrature import _BLOCK, _gk_cells
 
 
 UNIT_GAUSS = lambda x, p: np.exp(-0.5 * (x * x + p * p)) / (2 * math.pi)
@@ -175,28 +175,60 @@ def test_tensor_rule_streams_blocks():
     assert r.value == float(xw @ vals @ pw)
 
 
-def test_adaptive_waves_stream_blocks():
+def _gauss_kronrod_15():
+    """Nodes, Kronrod weights and embedded 7-point Gauss weights on [-1, 1].
+
+    Derived, not tabulated: the 8 added nodes are the roots of the Stieltjes
+    polynomial E8 = x^8 + a x^6 + b x^4 + c x^2 + d, orthogonal to x^k P7 for
+    k < 8, and the Kronrod weights integrate P0..P14 exactly.
+    """
+    leg = np.polynomial.legendre
+    p7 = leg.leg2poly(leg.Legendre.basis(7).coef)
+    moment = lambda n: 2.0 / (n + 1) if n % 2 == 0 else 0.0
+    inner = lambda j, k: sum(c * moment(i + j + k) for i, c in enumerate(p7))
+    odd = (1, 3, 5, 7)                # P7 E8 is odd, so even k hold already
+    coef = np.linalg.solve([[inner(j, k) for j in (6, 4, 2, 0)] for k in odd],
+                           [-inner(8, k) for k in odd])
+    added = np.sqrt(np.roots(np.concatenate([[1.0], coef])).real)
+    gauss_x, gauss_w = leg.leggauss(7)
+    nodes = np.sort(np.concatenate([gauss_x, added, -added]))
+    rhs = np.zeros(15)
+    rhs[0] = 2.0
+    kronrod = np.linalg.solve(leg.legvander(nodes, 14).T, rhs)
+    gauss = np.zeros(15)
+    gauss[1::2] = gauss_w
+    return nodes, kronrod, gauss
+
+
+def test_adaptive_cells_stream_blocks():
+    cell = 15 * 15
     spy = _Spy(OSC)
     r = integrate(spy, spec=QuadratureSpec(rule="adaptive-subdivision", tolerance=1e-12,
                                            box=Box(0, 0, 8, 8)))
     _check_blocks(spy, r)
-    # the 16 x 16 rule on a wave of 64 cells fills two whole blocks
-    assert spy.sizes.count(_BLOCK) >= 2
+    # every call holds whole cells, and the wide waves fill whole blocks
+    assert all(size % cell == 0 for size in spy.sizes)
+    assert spy.sizes.count(_BLOCK // cell * cell) >= 2
     # one wave against a single full-grid call
     rng = np.random.default_rng(3)
     cells = np.column_stack([rng.uniform(-4, 4, (300, 2)), rng.uniform(0.1, 1.0, (300, 2))])
-    order = 16
     spy = _Spy(OSC)
-    sums = _wave_rule(spy, cells, order)
-    assert spy.shapes_ok and max(spy.sizes) <= _BLOCK and sum(spy.sizes) == 300 * order ** 2
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    xs = cells[:, 0:1] + cells[:, 2:3] * xg
-    ps = cells[:, 1:2] + cells[:, 3:4] * xg
-    gx = np.repeat(xs[:, :, None], order, axis=2)
-    gp = np.repeat(ps[:, None, :], order, axis=1)
-    vals = OSC(gx.ravel(), gp.ravel()).reshape(-1, order, order)
-    ref = np.einsum("cij,ij->c", vals, np.outer(wg, wg)) * cells[:, 2] * cells[:, 3]
-    assert np.array_equal(sums, ref)
+    value, ex, ep = _gk_cells(spy, cells)
+    assert spy.shapes_ok and max(spy.sizes) <= _BLOCK and sum(spy.sizes) == 300 * cell
+    assert all(size % cell == 0 for size in spy.sizes)
+    nodes, kronrod, gauss = _gauss_kronrod_15()
+    xs = cells[:, 0:1] + cells[:, 2:3] * nodes
+    ps = cells[:, 1:2] + cells[:, 3:4] * nodes
+    gx = np.repeat(xs[:, :, None], 15, axis=2)
+    gp = np.repeat(ps[:, None, :], 15, axis=1)
+    vals = OSC(gx.ravel(), gp.ravel()).reshape(-1, 15, 15)
+    area = cells[:, 2] * cells[:, 3]
+    rule = lambda wx, wp, v=vals: np.einsum("cij,i,j->c", v, wx, wp) * area
+    # the derived weights differ from the tabulated ones by rounding only
+    slack = 1e-13 * rule(np.abs(kronrod), np.abs(kronrod), np.abs(vals))
+    assert np.all(np.abs(value - rule(kronrod, kronrod)) <= slack)
+    assert np.all(np.abs(ex - np.abs(rule(kronrod - gauss, kronrod))) <= slack)
+    assert np.all(np.abs(ep - np.abs(rule(kronrod, kronrod - gauss))) <= slack)
 
 
 def test_polar_disks_stream_blocks():
