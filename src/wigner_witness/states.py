@@ -218,13 +218,14 @@ def cat_wigner(p: CatParams) -> WignerField:
     halfwidth = 8.0 * math.sqrt(4.0 * gamma * gamma + 1.0)
     env = Envelope(center=np.zeros(4), halfwidth=halfwidth)
     # N integrates to 1 over phase space, so the weights are (2 pi)^2 / denom
-    # times each term's coefficient in W.
+    # times each term's coefficient in W.  At epsilon = 0 the fringes weigh
+    # nothing and are left out, so the two lobes count as plain Gaussians.
     lobe = np.array([2.0 * gamma, 0.0, 2.0 * gamma, 0.0])
     fringe = np.array([0.0, 2.0j * gamma, 0.0, 2.0j * gamma])
     unit = _TWO_PI ** 2 / denom
     terms = tuple((weight, mean, _UNIT_COV, None) for weight, mean in (
         (unit * lobe_w, lobe), (unit * lobe_w, -lobe),
-        (unit * sgn * eps, fringe), (unit * sgn * eps, -fringe)))
+        (unit * sgn * eps, fringe), (unit * sgn * eps, -fringe)) if weight != 0.0)
     return WignerField(evaluate=evaluate, backend="closed-form", envelope=env, terms=terms)
 
 

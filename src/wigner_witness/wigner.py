@@ -492,7 +492,8 @@ def _exact_slice(w: WignerField, plane: SlicePlane) -> IntegralResult:
     c_mat, d_vec = plane.matrix()
     if d_vec.ndim == 1:
         total, scale = _exact_terms(w, c_mat, d_vec)
-        total, err = float(total), _err_floor(total)
+        total = float(total)
+        err = _err_floor(total)
         return IntegralResult(total, err if err >= _EPS * scale else float(_EPS * scale), 0)
     nodes = max(_rule_size(poly) ** 2 for _, _, _, poly in w.terms)
     step = max(1, _BLOCK // nodes)

@@ -189,3 +189,44 @@ FOCK_C2_CASES = (
      (0.5425094013627458, -0.3279001815321009, 0.8160070630129113, 1.3500800798415178,
       2.888549442100421, 0.014564983231021357), 0.13825487),
 )
+
+
+def disk_union_green(disks, potential, nodes: int = 200) -> float:
+    """Integral of f over a union of disks (cx, cp, r) by Green's theorem.
+
+    The integral equals the counter-clockwise contour integral of P dp over
+    the union's boundary, where dP/dx = f.  The boundary is the arcs of each
+    circle that lie outside every other disk; a repeated disk counts once.
+    Each arc is smooth, so Gauss-Legendre in the arc angle converges to
+    rounding.  potential(x, p) returns P on arrays.
+    """
+    unique = list(dict.fromkeys(tuple(d) for d in disks))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for i, (cx, cp, r) in enumerate(unique):
+        others = unique[:i] + unique[i + 1:]
+        cuts = {0.0}
+        for ox, op, orad in others:
+            dist = math.hypot(ox - cx, op - cp)
+            if abs(r - orad) < dist < r + orad:
+                toward = math.atan2(op - cp, ox - cx)
+                half = math.acos((dist * dist + r * r - orad * orad) / (2.0 * dist * r))
+                cuts |= {(toward - half) % TWO_PI, (toward + half) % TWO_PI}
+        cuts = sorted(cuts)
+        for lo, hi in zip(cuts, cuts[1:] + [TWO_PI]):
+            mid = 0.5 * (lo + hi)
+            if any(math.hypot(cx + r * math.cos(mid) - ox, cp + r * math.sin(mid) - op) < orad
+                   for ox, op, orad in others):
+                continue
+            t = lo + 0.5 * (hi - lo) * (x + 1.0)
+            dp = r * np.cos(t)
+            total += 0.5 * (hi - lo) * float(w @ (potential(cx + dp, cp + r * np.sin(t)) * dp))
+    return total
+
+
+def gaussian_potential(a: float, b: float):
+    """P with dP/dx = exp(-((x - a)^2 + (p - b)^2) / 2), for disk_union_green."""
+    def potential(x, p):
+        erf = np.array([math.erf(v) for v in (x - a) / math.sqrt(2.0)])
+        return math.sqrt(math.pi / 2.0) * erf * np.exp(-0.5 * (p - b) ** 2)
+    return potential

@@ -13,6 +13,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from pathlib import Path
 
@@ -66,6 +67,7 @@ def test_tmsv_slice_closed_form():
                     f"worst |value - e^(2s)/(2pi)| = {worst:.2e}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_tmst_boundary_grid():
     start = time.perf_counter()
     proc = subprocess.run(
@@ -306,6 +308,7 @@ def _draw_transform(rng):
     return symplectic_from_params(param, rng.normal(), rng.normal()), theta
 
 
+@pytest.mark.slow
 def test_no_false_positives():
     start = time.perf_counter()
     rng = np.random.default_rng(20260819)

@@ -154,6 +154,20 @@ def test_sweep_grid_csv_shape(tmp_path):
         assert row[3] == "true"
 
 
+def test_sweep_grid_werner_prints_json_booleans(tmp_path):
+    cfg = tmp_path / "werner.cfg"
+    cfg.write_text(
+        "[sweep]\nmode = grid\n\n"
+        "[state]\nfamily = werner-phi+\n\n"
+        "[grid]\nepsilon = 0.2,0.8\n\n"
+        "[criterion:c1]\ntransform = p-reflect\ntheta = 0.7853981633974483\n")
+    rows = list(csv.reader(io.StringIO(run_cli("sweep", "--config", str(cfg)).stdout)))
+    assert rows[0] == ["epsilon", "c1_value", "c1_bound", "c1_violated"]
+    assert [row[3] for row in rows[1:]] == ["false", "true"]
+    for row, eps in zip(rows[1:], (0.2, 0.8)):
+        np.testing.assert_allclose(float(row[1]), refvals.werner_c1_value(eps), rtol=0, atol=1e-12)
+
+
 def test_sweep_threshold_mode_recovers_werner_boundary(tmp_path):
     cfg = tmp_path / "thr.cfg"
     cfg.write_text(

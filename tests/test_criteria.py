@@ -156,6 +156,18 @@ def test_cat_c2_evaluation_budget():
     assert 0 < res.evaluations <= 250_000
 
 
+@pytest.mark.parametrize("gamma", [2.0, 3.0, 6.0])
+def test_fully_dephased_cat_c2_is_exact(gamma):
+    # At epsilon = 0 the slice is a sum of two nonnegative Gaussians, so
+    # C2 = C1 on the exact route; zero-weight fringes used to force quadrature.
+    w = state_to_wigner(CatParams(gamma, 0.0, "minus"))
+    res = integrate_slice(make_slice(w, P_REFLECT, QUARTER), absolute=True)
+    assert res.evaluations == 0
+    c1, c2 = criterion1(w, P_REFLECT, QUARTER), criterion2(w, P_REFLECT, QUARTER)
+    assert abs(c2.value - c1.value) <= 1e-12
+    assert c2.error_estimate <= 1e-12
+
+
 @pytest.mark.parametrize("labels, theta, transform, ref", refvals.FOCK_C2_CASES,
                          ids=["fock-20", "fock-22"])
 def test_fock_c2_estimate_covers_error(labels, theta, transform, ref):
@@ -268,6 +280,7 @@ def test_slice_criteria_take_one_route_call(w, monkeypatch):
 
 # --- purity ----------------------------------------------------------------
 
+@pytest.mark.slow
 def test_purity_routes_agree():
     s = 0.5
     par = TmstParams(s=s)

@@ -9,7 +9,10 @@ from wigner_witness import (
     QuadratureSpec, cat_wigner, criterion2, disk_union, integrate, integrate_abs,
     rectangle,
 )
+from wigner_witness import quadrature
 from wigner_witness.quadrature import _BLOCK, _gk_cells
+
+import refvals
 
 
 UNIT_GAUSS = lambda x, p: np.exp(-0.5 * (x * x + p * p)) / (2 * math.pi)
@@ -250,24 +253,77 @@ def test_polar_disks_stream_blocks():
     assert r.value == ref
 
 
-def test_masked_grid_streams_blocks():
-    disks = ((0.0, 0.0, 2.0), (1.0, 0.5, 1.5))
-    order = 40                        # 160 x 160 grid, about 13k nodes inside
+def test_polar_pieces_stream_blocks(monkeypatch):
+    # The second disk's centre is outside the first, so its pieces have
+    # tangent ends, and its fine rule alone is more than one block.
+    disks = ((0.0, 0.0, 1.5), (1.5, 0.5, 2.0))
+    order = 160
     spy = _Spy(OSC)
     r = integrate(spy, region=disk_union(*disks), spec=QuadratureSpec(order=order))
     _check_blocks(spy, r)
-    n = 4 * order
-    x_lo, x_hi, p_lo, p_hi = -2.0, 2.5, -2.0, 2.0
-    xs = np.linspace(x_lo, x_hi, n, endpoint=False) + (x_hi - x_lo) / (2 * n)
-    ps = np.linspace(p_lo, p_hi, n, endpoint=False) + (p_hi - p_lo) / (2 * n)
-    gx, gp = np.meshgrid(xs, ps, indexing="ij")
-    mask = np.zeros(gx.shape, dtype=bool)
-    for cx, cp, radius in disks:
-        mask |= (gx - cx) ** 2 + (gp - cp) ** 2 <= radius * radius
-    assert mask.sum() > _BLOCK
-    vals = np.zeros(gx.shape)
-    vals[mask] = OSC(gx[mask], gp[mask])
-    assert r.value == float(vals.sum() * ((x_hi - x_lo) * (p_hi - p_lo) / (n * n)))
+    first_disk = (order // 2) * order + (order // 4) * (order // 2)
+    assert r.evaluations - first_disk > 2 * _BLOCK
+    assert spy.sizes.count(_BLOCK // (order // 2) * (order // 2)) >= 2
+    # One call per rule gives the same value bit for bit.
+    monkeypatch.setattr(quadrature, "_BLOCK", 10 ** 7)
+    whole = _Spy(OSC)
+    one_call = integrate(whole, region=disk_union(*disks), spec=QuadratureSpec(order=order))
+    assert len(whole.sizes) == 4
+    assert one_call.value == r.value and one_call.evaluations == r.evaluations
+
+
+_LOBE = 2.0 * math.sqrt(2.0) * 1.2
+DISK_UNIONS = {
+    # perfbench's C2-overlap shape: equal radii, the second centre inside the first
+    "benchmark-pair": ((_LOBE, 0.0, 1.1), (_LOBE + 0.55, 0.2, 1.1)),
+    "centre-inside-other": ((0.0, 0.0, 1.0), (0.8, 0.3, 1.5)),
+    "disk-inside-other": ((0.0, 0.0, 2.0), (0.5, 0.2, 0.7)),
+    "inside-later-disk": ((0.5, 0.2, 0.7), (0.0, 0.0, 2.0)),
+    # the crescent's tip lies on the ray through the middle of its sub-interval
+    "touching-inside-later-disk": ((0.5, 0.0, 0.5), (0.0, 0.0, 1.0)),
+    "identical": ((0.3, 0.1, 1.1), (0.3, 0.1, 1.1)),
+    "venn": ((0.0, 0.0, 1.0), (0.8, 0.0, 1.0), (0.4, 0.6, 1.0)),
+    "chain": ((0.0, 0.0, 1.0), (0.9, 0.2, 1.0), (1.8, -0.1, 1.0)),
+    # tangent ends, which take the sin^2 map
+    "centre-outside-other": ((0.0, 0.0, 0.5), (1.0, 0.2, 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISK_UNIONS))
+def test_disk_union_matches_greens_theorem(name):
+    disks = DISK_UNIONS[name]
+    # Mapped ends converge more slowly in the angle; order 160 reaches 1e-10.
+    order = 160 if name == "centre-outside-other" else 80
+    cx, cp = disks[0][0] + 0.3, disks[0][1] - 0.2
+    gauss = lambda x, p: np.exp(-0.5 * ((x - cx) ** 2 + (p - cp) ** 2))
+    for f, potential in ((lambda x, p: np.ones_like(x), lambda x, p: x),
+                         (gauss, refvals.gaussian_potential(cx, cp))):
+        r = integrate(f, region=disk_union(*disks), spec=QuadratureSpec(order=order))
+        error = abs(r.value - refvals.disk_union_green(disks, potential))
+        assert error <= r.error_estimate
+        assert error <= 1e-10
+
+
+@pytest.mark.parametrize("disks", [
+    ((0.0, 0.0, 1.0), (1.5, 0.2, 1.0), (3.0, -0.1, 1.0)),   # centres outside their neighbours
+    ((0.0, 0.0, 1.0), (2.2, 0.0, 1.3), (1.0, 0.0, 0.3)),    # a tangent just off a piece
+    ((0.0, 0.0, 1.0), (0.98, 0.1, 0.9)),                     # a centre just inside a circle
+    ((0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, 0.85, 1.0)),    # a centre by two circles' crossing
+    # strips whose half-order errors cancel when summed over the disk
+    ((-1.005, -0.567, 0.9916), (-0.411, 1.148, 0.5697), (0.185, 0.833, 1.5085)),
+], ids=["outside-chain", "near-tangent", "near-rim", "tight-venn", "cancelling-strips"])
+@pytest.mark.parametrize("order", [16, 40, 80])
+def test_disk_union_estimate_covers_hard_geometry(disks, order):
+    # These converge more slowly in the angle; the estimate must still hold.
+    f = lambda x, p: np.exp(-0.5 * ((x - 0.75) ** 2 + (p + 0.73) ** 2))
+    r = integrate(f, region=disk_union(*disks), spec=QuadratureSpec(order=order))
+    ref = refvals.disk_union_green(disks, refvals.gaussian_potential(0.75, -0.73))
+    assert abs(r.value - ref) <= r.error_estimate
+
+
+def test_overlapping_pair_evaluation_budget():
+    r = integrate(UNIT_GAUSS, region=disk_union(*DISK_UNIONS["benchmark-pair"]))
+    assert r.evaluations <= 15_000
 
 
 @pytest.mark.parametrize("region", [
