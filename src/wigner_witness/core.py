@@ -186,8 +186,8 @@ FULL_PLANE = Region("full-plane")
 
 
 def rectangle(x_lo: float, x_hi: float, p_lo: float, p_hi: float) -> Region:
-    if not (x_lo < x_hi and p_lo < p_hi):
-        raise RegionError("rectangle bounds must satisfy x_lo < x_hi and p_lo < p_hi")
+    if not (all(map(math.isfinite, (x_lo, x_hi, p_lo, p_hi))) and x_lo < x_hi and p_lo < p_hi):
+        raise RegionError("rectangle bounds must be finite with x_lo < x_hi and p_lo < p_hi")
     return Region("rectangle", bounds=(float(x_lo), float(x_hi), float(p_lo), float(p_hi)))
 
 
@@ -196,7 +196,7 @@ def disk_union(*disks: tuple[float, float, float]) -> Region:
         raise RegionError("disk union needs at least one disk")
     clean = []
     for cx, cp, r in disks:
-        if not (math.isfinite(r) and r > 0):
-            raise RegionError(f"disk radius must be positive, got {r!r}")
+        if not (math.isfinite(cx) and math.isfinite(cp) and math.isfinite(r) and r > 0):
+            raise RegionError(f"disk needs a finite centre and radius > 0, got {(cx, cp, r)!r}")
         clean.append((float(cx), float(cp), float(r)))
     return Region("disk-union", disks=tuple(clean))

@@ -38,6 +38,9 @@ _LOGT_SEEDS = (-0.7, 0.0, 0.7)
 _OFFSET_SEEDS = (-1.0, 0.0, 1.0)
 _THETA_SEEDS = (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0)
 _TOP_K = 8
+_PEAK_GRID = 41          # points per axis of the |slice| scan behind shrink_region
+_BELL_SEED = 7           # the random CHSH starts, drawn the same on every call
+_BELL_RANDOM_STARTS = 16
 _MAX_ITER = 200
 
 
@@ -203,9 +206,9 @@ def optimize_purity(w: WignerField,
     return reports[float(best[0])]
 
 
-def _local_maxima(slc, box, n: int = 41):
-    xs = np.linspace(box.cx - box.hx, box.cx + box.hx, n)
-    ps = np.linspace(box.cp - box.hp, box.cp + box.hp, n)
+def _local_maxima(slc, box):
+    xs = np.linspace(box.cx - box.hx, box.cx + box.hx, _PEAK_GRID)
+    ps = np.linspace(box.cp - box.hp, box.cp + box.hp, _PEAK_GRID)
     gx, gp = np.meshgrid(xs, ps, indexing="ij")
     vals = np.abs(np.asarray(slc.evaluate(gx, gp), dtype=float))
     padded = np.pad(vals, 1, constant_values=-np.inf)
@@ -288,8 +291,7 @@ def _alphas(vec) -> tuple[complex, ...]:
     return tuple(complex(vec[k], vec[k + 1]) for k in (0, 2, 4, 6))
 
 
-def maximize_bell(w: WignerField, seed: int = 7,
-                  extra_starts: int = 16) -> tuple[float, tuple[complex, ...]]:
+def maximize_bell(w: WignerField) -> tuple[float, tuple[complex, ...]]:
     """Best CHSH value found over the four complex displacements.
 
     Seeds exploit the structure of the near-optimal settings (pairs of equal,
@@ -301,8 +303,8 @@ def maximize_bell(w: WignerField, seed: int = 7,
         for u in (0.0, 0.3, -0.3):
             starts.append(np.array([0.0, u, 0.0, v, 0.0, u, 0.0, v]))
             starts.append(np.array([0.0, v, 0.0, u, 0.0, u, 0.0, v]))
-    rng = np.random.default_rng(seed)
-    for _ in range(extra_starts):
+    rng = np.random.default_rng(_BELL_SEED)
+    for _ in range(_BELL_RANDOM_STARTS):
         starts.append(rng.normal(scale=0.5, size=8))
 
     def value(vec) -> float:

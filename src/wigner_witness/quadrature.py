@@ -1,24 +1,25 @@
 """2-D quadrature over truncated boxes, rectangles and disk unions.
 
 Integrands are pointwise callables f(x, p): each rule hands them equal-shape
-1-D arrays of at most _BLOCK nodes and reads back one value per node.  Rules
-build their nodes block by block and reduce the values exactly as one call on
-the whole grid would, so memory per integral is bounded by the block size and
-results do not depend on it.  Full-plane integrals are truncated to a box
-supplied by the caller (criteria derive it from the field envelope).  The
-tensor rule's error_estimate is the difference between the requested order
-and a coarser rule, so doubling the order should move the value by less than
-it; the adaptive rule bisects 15 x 15 Gauss-Kronrod cells and sums each
-accepted cell's Gauss-against-Kronrod difference along both axes.  A disk
-union is the sum of each disk minus the disks before it, in polar
-coordinates about that disk's centre with every earlier disk cut out of each
-ray exactly; its error is each disk's difference from a half-order rule.
+1-D arrays of at most _BLOCK nodes and reads back one value per node, so
+memory per integral is bounded by the block size.  The tensor and polar
+rules reduce their values as one call on the whole grid would; the adaptive
+rule reduces each block of cells, so its results move with the block size
+at rounding level.  Full-plane integrals are truncated to a box supplied by
+the caller (criteria derive it from the field envelope).  The tensor rule's
+error_estimate is the difference between the requested order and a coarser
+rule, so doubling the order should move the value by less than it; the
+adaptive rule bisects 15 x 15 Gauss-Kronrod cells and sums each accepted
+cell's Gauss-against-Kronrod difference along both axes.  A disk union is
+the sum of each disk minus the disks before it, in polar pieces about that
+disk's centre with every earlier disk cut out of each ray exactly; its error
+is the difference from a half-order rule, summed strip by strip.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +29,8 @@ from .core import FULL_PLANE, Region
 # Nodes per integrand call: 64 KiB per float64 array, so a block's
 # temporaries stay in cache however large the rule's grid is.
 _BLOCK = 8192
+# Adaptive refinement caps: halvings per axis of the box, and accepted cells.
+_MAX_DEPTH, _MAX_CELLS = 12, 6000
 
 
 class NonConvergenceError(RuntimeError):
@@ -149,7 +152,8 @@ def _tensor_with_refinement(f, box: Box, order: int) -> IntegralResult:
     # Gauss-Legendre converges geometrically on these integrands, so one rung
     # down (3/4 of the order) still bounds the residual; half the order sits
     # below the resolution knee of wide boxes and overstates it by orders.
-    coarse_order = max(4, (3 * order) // 4)
+    # The rung stays below the order, or the two rules would agree exactly.
+    coarse_order = min(order - 1, max(4, (3 * order) // 4))
     coarse, n1, _ = _tensor_box(f, box, coarse_order)
     fine, n2, _ = _tensor_box(f, box, order)
     err = max(abs(fine - coarse), _err_floor(fine))
@@ -192,18 +196,17 @@ def _gk_cells(f, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return out[0], np.abs(out[1]), np.abs(out[2])
 
 
-def _adaptive_box(f, box: Box, tolerance: float,
-                  max_depth: int = 12, max_cells: int = 6000) -> IntegralResult:
+def _adaptive_box(f, box: Box, tolerance: float) -> IntegralResult:
     """Adaptive bisection of 15 x 15 Gauss-Kronrod cells.
 
     A cell over its share of the tolerance is halved across the axis with the
     larger error, so a nodal line is refined in strips, not squares.
-    max_depth caps the halvings per axis; a cell whose worse axis is at the
+    _MAX_DEPTH caps the halvings per axis; a cell whose worse axis is at the
     cap is accepted with its error.  Cells of a generation are evaluated in
     one batch in a fixed order, so the accumulated sum is deterministic.
     """
     total_area = box.area
-    min_h = np.array([box.hx, box.hp]) * 0.5 ** max_depth
+    min_h = np.array([box.hx, box.hp]) * 0.5 ** _MAX_DEPTH
     # The first wave is an 8 x 8 grid.  On a wider cell the 15 nodes can
     # step over a peak with the Gauss and Kronrod rules agreeing: on a tail
     # strip of a gamma = 4.14 cat- slice both read 0.0325 against 0.0524.
@@ -219,8 +222,8 @@ def _adaptive_box(f, box: Box, tolerance: float,
         along_x = ex >= ep
         at_cap = np.where(along_x, wave[:, 2] <= min_h[0], wave[:, 3] <= min_h[1])
         budget = tolerance * np.maximum(wave[:, 2] * wave[:, 3] * 4.0 / total_area, 1e-6)
-        done = (cell_err <= budget) | at_cap | (cells >= max_cells) \
-            | (wave.shape[0] > max_cells)
+        done = (cell_err <= budget) | at_cap | (cells >= _MAX_CELLS) \
+            | (wave.shape[0] > _MAX_CELLS)
         # Accepting a wave's cells in row order keeps the sum reproducible.
         value += float(q[done].sum())
         err += float(cell_err[done].sum())
@@ -237,24 +240,6 @@ def _adaptive_box(f, box: Box, tolerance: float,
         raise NonConvergenceError(
             f"adaptive subdivision stalled at error {err:.3e} > 10 * tolerance {tolerance:.3e}")
     return IntegralResult(value, err, evals)
-
-
-def _polar_disk(f, cx: float, cp: float, radius: float,
-                n_r: int, n_phi: int) -> tuple[float, int]:
-    # Gauss-Legendre in u = (r/R)^2 removes the radial Jacobian kink at 0.
-    un, uw = _axis_nodes(0.0, 1.0, n_r)
-    an, aw = _axis_nodes(0.0, 2.0 * math.pi, n_phi)
-    r = radius * np.sqrt(un)
-    cos_a, sin_a = np.cos(an), np.sin(an)
-
-    def nodes(rows: slice, cols: slice):
-        return ((cx + np.outer(r[rows], cos_a[cols])).ravel(),
-                (cp + np.outer(r[rows], sin_a[cols])).ravel())
-
-    vals = np.empty((n_r, n_phi))
-    _fill(f, vals, nodes)
-    value = 0.5 * radius * radius * float(uw @ vals @ aw)
-    return value, n_r * n_phi
 
 
 def _circle_crossings(a, b) -> tuple:
@@ -303,9 +288,9 @@ def _breakpoints(disk, earlier) -> list[tuple[float, bool]]:
     return sorted(marks.items()) or [(0.0, False)]
 
 
-def _ray_pieces(phi: float, radius: float, offsets: np.ndarray) -> list:
+def _ray_pieces(phi: float, radius: float, offsets: list) -> list:
     """Radial pieces of the ray at angle phi from the disk's centre that lie
-    outside every earlier disk, as (start, end) labels.  offsets rows are
+    outside every earlier disk, as (start, end) labels.  offsets holds
     (dx, dp, dx^2 + dp^2 - r^2) of each earlier disk about the centre.
     (j, -1.0) and (j, 1.0) are the near and far crossings of earlier circle
     j; None is the centre as a start and the rim as an end."""
@@ -333,9 +318,9 @@ def _angle_nodes(lo: float, hi: float, m: int, lo_root: bool, hi_root: bool):
     """m Gauss-Legendre nodes and weights on [lo, hi], through the sin^2 map
     phi = lo + (hi - lo)(1 - cos(pi s))/2 (Sidi 1993) at each square-root
     end: its half on [0, 1/2] or [1/2, 1] when only one end is marked."""
-    s, ws = _axis_nodes(0.0, 1.0, m)
     if not (lo_root or hi_root):
-        return lo + (hi - lo) * s, (hi - lo) * ws
+        return _axis_nodes(lo, hi, m)
+    s, ws = _axis_nodes(0.0, 1.0, m)
     u0, u1 = (0.0 if lo_root else 0.5), (1.0 if hi_root else 0.5)
     u = u0 + (u1 - u0) * s
     scale = (hi - lo) / (math.cos(math.pi * u0) - math.cos(math.pi * u1))
@@ -346,7 +331,8 @@ def _angle_nodes(lo: float, hi: float, m: int, lo_root: bool, hi_root: bool):
 def _polar_pieces(f, disk, earlier, n_r: int, n_phi: int) -> tuple[np.ndarray, int]:
     """Integral of f over the disk minus the earlier disks, in polar
     coordinates about the disk's centre, as one term per strip: a radial
-    piece over an angular sub-interval.
+    piece over an angular sub-interval.  A disk that no earlier disk
+    overlaps is one strip, the whole angle with r from 0 to the rim.
 
     Between consecutive breakpoints every ray has the same pieces, and their
     ends are analytic in the angle except for the square roots that
@@ -355,10 +341,10 @@ def _polar_pieces(f, disk, earlier, n_r: int, n_phi: int) -> tuple[np.ndarray, i
     nodes in r with weight r.
     """
     cx, cp, radius = disk
-    offsets = np.array([(jx - cx, jp - cp, (jx - cx) ** 2 + (jp - cp) ** 2 - rj * rj)
-                        for jx, jp, rj in earlier])
+    offsets = [(jx - cx, jp - cp, (jx - cx) ** 2 + (jp - cp) ** 2 - rj * rj)
+               for jx, jp, rj in earlier]
     cuts = _breakpoints(disk, earlier)
-    strips = []
+    strips, starts, rays = [], [], 0
     for (lo, lo_root), (hi, hi_root) in zip(cuts, cuts[1:] + [(cuts[0][0] + 2.0 * math.pi,
                                                                  cuts[0][1])]):
         pieces = _ray_pieces(0.5 * (lo + hi), radius, offsets)
@@ -366,45 +352,46 @@ def _polar_pieces(f, disk, earlier, n_r: int, n_phi: int) -> tuple[np.ndarray, i
             continue
         m = math.ceil(n_phi * max((hi - lo) / (2.0 * math.pi), 0.1))
         phi, w_phi = _angle_nodes(lo, hi, m, lo_root, hi_root)
-        b = np.outer(np.cos(phi), offsets[:, 0]) + np.outer(np.sin(phi), offsets[:, 1])
-        root = np.sqrt(np.maximum(b * b - offsets[:, 2], 0.0))
+        cos_a, sin_a = np.cos(phi), np.sin(phi)
 
         def reach(label, default):
             if label is None:
                 return np.full(m, default)
-            j, side = label
-            return np.clip(b[:, j] + side * root[:, j], 0.0, radius)
+            (dx, dp, c), side = offsets[label[0]], label[1]
+            b = cos_a * dx + sin_a * dp
+            return np.clip(b + side * np.sqrt(np.maximum(b * b - c, 0.0)), 0.0, radius)
 
         for start, end in pieces:
             r0 = reach(start, 0.0)
-            strips.append((phi, w_phi, r0, np.maximum(reach(end, radius), r0)))
+            strips.append((cos_a, sin_a, w_phi, r0, np.maximum(reach(end, radius), r0)))
+            starts.append(rays)
+            rays += m
     if not strips:
         return np.zeros(0), 0
-    phi, w_phi, r0, r1 = (np.concatenate(c) for c in zip(*strips))
+    cos_a, sin_a, w_phi, r0, r1 = (np.concatenate(c) for c in zip(*strips))
     xr, wr = _leggauss(n_r)
     half = 0.5 * (r1 - r0)
     mid = r0 + half
-    cos_a, sin_a = np.cos(phi), np.sin(phi)
 
     def nodes(rows: slice, cols: slice):
         r = mid[rows, None] + half[rows, None] * xr[cols]
         return (cx + r * cos_a[rows, None]).ravel(), (cp + r * sin_a[rows, None]).ravel()
 
-    vals = np.empty((phi.size, n_r))
+    vals = np.empty((rays, n_r))
     _fill(f, vals, nodes)
-    # r dr on each piece: sum_k wr_k r_k v_k with r_k = mid + half * xr_k.
-    rays = w_phi * half * (mid * (vals @ wr) + half * (vals @ (wr * xr)))
-    starts = np.cumsum([0] + [strip[0].size for strip in strips[:-1]])
-    return np.add.reduceat(rays, starts), vals.size
+    # r dr on each piece: sum_k wr_k r_k v_k with r_k = mid + half * xr_k.  The
+    # weights are formed before the values scale them, so a piece whose area
+    # overflows reads inf or nan, not 0.
+    w_ray = w_phi * half
+    per_ray = (w_ray * mid) * (vals @ wr) + (w_ray * half) * (vals @ (wr * xr))
+    return np.add.reduceat(per_ray, starts), vals.size
 
 
 def _disk_union(f, disks, order: int) -> IntegralResult:
-    """Sum over the disks of each disk minus the disks before it.
-
-    A disk that overlaps no earlier disk takes the polar rule about its
-    centre; any other is cut into polar pieces, of which a disk inside an
-    earlier one has none.  The error is the distance to the half-order
-    rung, summed strip by strip so that strips cannot cancel each other.
+    """Sum over the disks of each disk minus the disks before it, in polar
+    pieces; a disk inside an earlier one has none.  The error is the distance
+    to the half-order rung, summed strip by strip so that strips cannot
+    cancel each other.
     """
     n_r, n_phi = max(8, order // 2), max(16, order)
     value = err = 0.0
@@ -413,27 +400,19 @@ def _disk_union(f, disks, order: int) -> IntegralResult:
         cx, cp, radius = disk
         earlier = [d for d in disks[:i]
                    if math.hypot(d[0] - cx, d[1] - cp) < d[2] + radius - 1e-12]
-        if earlier:
-            rule = lambda n, m: _polar_pieces(f, disk, earlier, n, m)
-        else:
-            rule = lambda n, m: _polar_disk(f, cx, cp, radius, n, m)
-        coarse, n1 = rule(max(4, n_r // 2), max(8, n_phi // 2))
-        fine, n2 = rule(n_r, n_phi)
+        coarse, n1 = _polar_pieces(f, disk, earlier, max(4, n_r // 2), max(8, n_phi // 2))
+        fine, n2 = _polar_pieces(f, disk, earlier, n_r, n_phi)
         value += float(np.sum(fine))
         err += float(np.sum(np.abs(fine - coarse)))
         evals += n1 + n2
     return IntegralResult(value, max(err, _err_floor(value)), evals)
 
 
-def _require_box(spec: QuadratureSpec) -> Box:
-    if spec.box is None:
-        raise ValueError("full-plane integration needs a truncation box in QuadratureSpec")
-    return spec.box
-
-
 def _box_for(region: Region, spec: QuadratureSpec) -> Box:
     if region.kind == "full-plane":
-        return _require_box(spec)
+        if spec.box is None:
+            raise ValueError("full-plane integration needs a truncation box in QuadratureSpec")
+        return spec.box
     x_lo, x_hi, p_lo, p_hi = region.bounds
     return Box(0.5 * (x_lo + x_hi), 0.5 * (p_lo + p_hi),
                0.5 * (x_hi - x_lo), 0.5 * (p_hi - p_lo))
@@ -444,10 +423,10 @@ def integrate(f, region: Region = FULL_PLANE,
     """Integrate f over the region.
 
     Full-plane regions are truncated to spec.box; rectangles use their own
-    bounds.  A disk union is integrated disk by disk: a disk apart from the
-    earlier ones by the polar rule about its centre, one overlapping them by
-    polar pieces that leave the earlier disks out of every ray, with the
-    angle cut where the pieces change (_breakpoints).
+    bounds.  A disk union is integrated disk by disk in polar pieces about
+    each disk's centre that leave the earlier disks out of every ray, with
+    the angle cut where the pieces change (_breakpoints); a disk that no
+    earlier disk overlaps is a single piece.
     """
     spec = spec or QuadratureSpec()
     if region.kind == "disk-union":
@@ -476,12 +455,10 @@ def integrate_abs(f, region: Region = FULL_PLANE,
     box = _box_for(region, spec)
     probe_order = min(32, max(8, spec.order // 2))
     _, _, probe = _tensor_box(f, box, probe_order)
-    scale = float(np.max(np.abs(probe))) if probe.size else 0.0
+    scale = float(np.max(np.abs(probe)))
     mixed = scale > 0 and probe.min() < -1e-12 * scale and probe.max() > 1e-12 * scale
     if mixed or spec.rule == "adaptive-subdivision":
         result = _adaptive_box(absf, box, spec.tolerance)
-        return IntegralResult(result.value, result.error_estimate,
-                              result.evaluations + probe_order * probe_order)
-    result = _tensor_with_refinement(absf, box, spec.order)
-    return IntegralResult(result.value, result.error_estimate,
-                          result.evaluations + probe_order * probe_order)
+    else:
+        result = _tensor_with_refinement(absf, box, spec.order)
+    return replace(result, evaluations=result.evaluations + probe_order * probe_order)

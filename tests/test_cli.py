@@ -339,6 +339,9 @@ _CAT_C1 = ("evaluate", "--state", "cat-plus", "--gamma", "1", "--epsilon", "0.5"
     # in range, but the covariance rounds into unphysical
     ("evaluate", "--state", "tmst", "--s", "175", "--eta", "0.5", "--r", "175",
      "--criterion", "simon"),
+    _CAT_C1 + ("--criterion", "c2", "--region", "disks:nan,0,1"),
+    _CAT_C1 + ("--criterion", "c2", "--region", "disks:inf,0,1"),
+    _CAT_C1 + ("--criterion", "c2", "--region", "rect:-inf,inf,-1,1"),
 ])
 def test_bad_evaluate_input_exits_config_error(argv):
     proc = run_cli(*argv, check=False)
@@ -346,6 +349,25 @@ def test_bad_evaluate_input_exits_config_error(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+_FAR = ("--transform=1,0,0,1,1e200,0",)
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (_CAT_C1 + _FAR, "not finite"),
+    (_CAT_C1 + _FAR + ("--criterion", "c2"), "zero width"),
+    (_CAT_C1 + _FAR + ("--backend", "fock"), "zero width"),
+    (_CAT_C1 + ("--criterion", "c2", "--region", "disks:0,0,1e200"), "not finite"),
+    (_CAT_C1 + ("--criterion", "c2", "--region", "rect:0,1e308,-1,1"), "not finite"),
+], ids=["far-plane-c1", "far-plane-c2", "far-plane-fock-c1", "huge-disk", "huge-rect"])
+def test_overflowing_input_exits_nonconvergence(argv, cause):
+    # Finite inputs whose slice integral overflows, or whose slice box loses
+    # its width to rounding, must not print a report.
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert cause in proc.stderr.splitlines()[-1]
 
 
 _CAT_SWEEP = ("[sweep]\nmode = grid\n\n"

@@ -93,6 +93,20 @@ def test_region_rejects_bad_input():
         disk_union()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: rectangle(-math.inf, math.inf, -1.0, 1.0),
+    lambda: rectangle(0.0, 1.0, math.nan, 1.0),
+    lambda: disk_union((math.nan, 0.0, 1.0)),
+    lambda: disk_union((math.inf, 0.0, 1.0)),
+    lambda: disk_union((0.0, 0.0, 1.0), (0.0, -math.inf, 1.0)),
+    lambda: disk_union((0.0, 0.0, math.inf)),
+], ids=["rect-infinite", "rect-nan", "disk-nan-centre", "disk-infinite-centre",
+        "second-disk-infinite-centre", "disk-infinite-radius"])
+def test_region_rejects_non_finite_input(build):
+    with pytest.raises(RegionError):
+        build()
+
+
 def test_region_to_dict_round_trips_values():
     d = disk_union((0.5, -0.5, 1.5)).to_dict()
     assert d == {"kind": "disk-union", "disks": [[0.5, -0.5, 1.5]]}

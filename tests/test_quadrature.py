@@ -114,6 +114,14 @@ def test_result_reports_evaluation_count():
     assert r.evaluations == 16 * 16 + 12 * 12
 
 
+def test_lowest_order_keeps_a_coarser_rung():
+    # At order 4 a coarse rung of order 4 would repeat the fine rule, and the
+    # estimate would fall to the rounding floor.
+    r = integrate(UNIT_GAUSS, spec=QuadratureSpec(order=4, box=Box(0, 0, 9, 9)))
+    assert r.evaluations == 4 * 4 + 3 * 3
+    assert abs(r.value - 1.0) <= r.error_estimate
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rule="monte-carlo")
@@ -234,25 +242,6 @@ def test_adaptive_cells_stream_blocks():
     assert np.all(np.abs(ep - np.abs(rule(kronrod, kronrod - gauss))) <= slack)
 
 
-def test_polar_disks_stream_blocks():
-    disks = ((-2.0, 0.5, 1.5), (2.5, -0.5, 2.0))
-    order = 160                       # 80 x 160 polar nodes per disk: two blocks
-    spy = _Spy(OSC)
-    r = integrate(spy, region=disk_union(*disks), spec=QuadratureSpec(order=order))
-    _check_blocks(spy, r)
-    n_r, n_phi = order // 2, order
-    un, uw = _gl(0.0, 1.0, n_r)
-    an, aw = _gl(0.0, 2.0 * math.pi, n_phi)
-    ref = 0.0
-    for cx, cp, radius in disks:
-        rr = radius * np.sqrt(un)
-        xs = cx + np.outer(rr, np.cos(an))
-        ps = cp + np.outer(rr, np.sin(an))
-        vals = OSC(xs.ravel(), ps.ravel()).reshape(n_r, n_phi)
-        ref += 0.5 * radius * radius * float(uw @ vals @ aw)
-    assert r.value == ref
-
-
 def test_polar_pieces_stream_blocks(monkeypatch):
     # The second disk's centre is outside the first, so its pieces have
     # tangent ends, and its fine rule alone is more than one block.
@@ -286,6 +275,10 @@ DISK_UNIONS = {
     "chain": ((0.0, 0.0, 1.0), (0.9, 0.2, 1.0), (1.8, -0.1, 1.0)),
     # tangent ends, which take the sin^2 map
     "centre-outside-other": ((0.0, 0.0, 0.5), (1.0, 0.2, 1.5)),
+    # lone disks: one strip, the whole angle from the centre to the rim
+    "lone": ((0.4, -0.3, 1.7),),
+    "lone-wide": ((0.0, 0.0, 6.0),),
+    "lone-narrow": ((2.0, 1.0, 0.3),),
 }
 
 
@@ -321,14 +314,25 @@ def test_disk_union_estimate_covers_hard_geometry(disks, order):
     assert abs(r.value - ref) <= r.error_estimate
 
 
-def test_overlapping_pair_evaluation_budget():
-    r = integrate(UNIT_GAUSS, region=disk_union(*DISK_UNIONS["benchmark-pair"]))
-    assert r.evaluations <= 15_000
+@pytest.mark.parametrize("order", [16, 40, 80])
+def test_wide_lone_disk_estimate_covers_error(order):
+    # The disk is 100 times wider than the integrand, whose mass sits near
+    # the centre: nodes clustered at the rim alone would step over it.
+    f = lambda x, p: np.exp(-0.5 * ((x - 0.3) ** 2 + (p + 0.2) ** 2))
+    r = integrate(f, region=disk_union((0.0, 0.0, 30.0)), spec=QuadratureSpec(order=order))
+    assert abs(r.value - 2.0 * math.pi) <= r.error_estimate
+
+
+@pytest.mark.parametrize("name, budget", [("benchmark-pair", 15_000), ("lone", 4_000)],
+                         ids=["benchmark-pair", "lone"])
+def test_disk_union_evaluation_budget(name, budget):
+    r = integrate(UNIT_GAUSS, region=disk_union(*DISK_UNIONS[name]))
+    assert r.evaluations <= budget
 
 
 @pytest.mark.parametrize("region", [
     FULL_PLANE,                                            # adaptive |W| waves
-    disk_union((0.5, 0.0, 2.0), (-0.5, 0.3, 2.0)),         # masked grid
+    disk_union((0.5, 0.0, 2.0), (-0.5, 0.3, 2.0)),         # polar pieces
 ], ids=["full-plane", "overlapping-disks"])
 def test_c2_memory_is_bounded_by_blocks(region):
     cat = cat_wigner(CatParams(gamma=0.6, epsilon=0.5, sign="minus"))
