@@ -9,6 +9,11 @@ quadrature nodes to phase-space points, gives (C, d) to the exact
 integrals and derives the quadrature box from the envelope.  A plane whose
 shifts are arrays is a stack of parallel planes sharing C.  integrate_slice
 is the one place a slice integral picks its route, exact or quadrature.
+On one plane each term is a Gaussian in the plane variables, so quadrature
+evaluates a field with terms through that plane's 2-D kernel
+(SliceField.kernel) and maps its nodes to phase space only for a
+polynomial factor; the Fock engine and stacks of planes take the mapped
+nodes.
 
 Conventions: [x, p] = 2i, vacuum variance 1, so the vacuum Wigner function
 is exp(-(x^2+p^2)/2)/(2 pi) per mode and alpha = (x + i p)/2.
@@ -101,6 +106,38 @@ class WignerField:
                 out.append((prec, root_det, mean, None))
         return tuple(out)
 
+    @cached_property
+    def plane_frames(self) -> tuple:
+        """The terms grouped for evaluation on a plane, computed once per
+        field: per distinct V^-1 = L L^T, (L^T, real means (4, k), V^-1 times
+        imaginary means (4, k), and per term (log(|weight| / ((2 pi)^2
+        sqrt(det V))), weight, whether the mean is complex, poly)).  Terms of
+        weight 0 are left out, and two polynomial-free terms that are equal on
+        every plane (equal means, or a complex mean and its conjugate, whose
+        real parts agree) are one term of the summed weight."""
+        frames: dict = {}
+        for (weight, mean, _, poly), (prec, root_det, mu, pb) in zip(self.terms, self.precisions):
+            if weight == 0.0:
+                continue
+            terms = frames.setdefault(id(prec), (prec, {}))[1]
+            key = len(terms) if poly is not None else (weight, tuple(mean.tolist()))
+            if poly is None and key not in terms:
+                twin = (weight, tuple(np.conj(mean).tolist()))
+                key = twin if twin in terms else key
+            if key in terms:
+                terms[key][0] += weight
+            else:
+                terms[key] = [weight, root_det, mu, pb, poly]
+        out = []
+        for prec, terms in frames.values():
+            entries = [(math.log(abs(weight) / (_TWO_PI ** 2 * root_det)), weight, pb is not None,
+                        poly) for weight, root_det, _, pb, poly in terms.values()]
+            out.append((np.linalg.cholesky(prec).T,
+                        np.stack([mu for _, _, mu, _, _ in terms.values()], axis=1),
+                        np.stack([np.zeros(4) if pb is None else pb
+                                  for _, _, _, pb, _ in terms.values()], axis=1), entries))
+        return tuple(out)
+
 
 def _plain_gaussians(terms) -> bool:
     """True when every term is an ordinary Gaussian: poly 1 and a real mean."""
@@ -110,7 +147,14 @@ def _plain_gaussians(terms) -> bool:
 
 @dataclass(frozen=True)
 class SliceField:
-    """A field on a slice plane: the two-variable integrand and its quadrature box."""
+    """A field on a slice plane: the two-variable integrand and its quadrature box.
+
+    For a single plane of a field with terms the integrand is the plane's own
+    2-D kernel (_PlaneKernel), built on first use: each term is a Gaussian in
+    the plane variables, so no node is mapped to phase space unless a term has
+    a polynomial.  Fields without terms (the Fock engine) and stacks of planes
+    evaluate the field at the mapped nodes.
+    """
 
     field: WignerField
     plane: SlicePlane
@@ -119,8 +163,24 @@ class SliceField:
     def box(self) -> Box:
         return self.plane.box(self.field.envelope)
 
+    @cached_property
+    def kernel(self) -> _PlaneKernel | None:
+        if self.field.terms is None or self.plane.stacked:
+            return None
+        return _PlaneKernel.build(self.field, self.plane)
+
+    @property
+    def nonnegative(self) -> bool:
+        """True when |W| = W on the plane, or on every plane of a stack."""
+        if self.plane.stacked:
+            return all(SliceField(self.field, plane).nonnegative for plane in self.plane.unstack())
+        return self.kernel is not None and self.kernel.nonnegative
+
     def evaluate(self, x, p):
-        return self.field.evaluate(*self.plane(x, p))
+        kernel = self.kernel
+        if kernel is None:
+            return self.field.evaluate(*self.plane(x, p))
+        return kernel(x, p)
 
 
 def gaussian_wigner(state, cov=None) -> WignerField:
@@ -394,6 +454,156 @@ class SlicePlane(NamedTuple):
                    hx=0.5 * (x_hi - x_lo), hp=0.5 * (p_hi - p_lo))
 
 
+# exp(-x) is 0.0 in double precision for every x >= 746.
+_UNDERFLOW = 746.0
+# cos(phi) = 1 - phi^2/2 + ... rounds to 1.0 for |phi| below this.
+_FLAT_PHASE = 1e-9
+_ROOT_HALF = math.sqrt(0.5)
+
+
+class _PlaneTerm(NamedTuple):
+    """One term on the plane: +-exp(log_amp - sx - sp) [cos(w . u + offset)]
+    [poly(plane(u))], where sx and sp are the squares numbered square_x and
+    square_p of the kernel's coords."""
+
+    log_amp: float
+    negative: bool
+    square_x: int
+    square_p: int
+    phase: tuple[float, float, float] | None
+    poly: Poly | None
+
+
+class _PlaneKernel(NamedTuple):
+    """The terms of a field as Gaussians in the plane variables u = (x, p).
+
+    A term with precision P = L L^T and real mean a is exp(-q/2) on the plane
+    u -> C u + d, with q = |L^T (C u + d - a)|^2 = |R (u - u0)|^2 + 2 kappa:
+    R^T R = M = C^T P C, and u0, the point of the plane nearest to a in P's
+    metric, solves the least-squares problem L^T C u ~ L^T (a - d).  A
+    complex mean a + ib adds the phase (P b) . (C u + d - a) = w . (u - u0) +
+    phi0 with w = C^T P b.  kappa = |L^T (xi0 - a)|^2 / 2 and phi0 =
+    (P b) . (xi0 - a) are read at the centre's image xi0 = plane(u0): a sum
+    of squares, which cannot cancel as the Schur form of _exact_terms can.
+
+    shapes holds R / sqrt 2 as (r11, r12, r22) per frame (distinct
+    precision), so that z = R u / sqrt 2 and q/2 = |z - z0|^2 + kappa.
+    coords lists the distinct (frame, axis, z0 entry) of the terms, whose
+    squares (z_axis - z0 entry)^2 a call forms once: on the p-reflection
+    planes every cat centre has z0p = 0.  terms holds every term that does
+    not underflow on the whole plane, and centres every term's u0, shape
+    (2, n).  A term's cosine is dropped where it reads 1.0 wherever the term
+    is nonzero.  nonnegative is True when every term is then a
+    polynomial-free Gaussian of weight >= 0 with no cosine, so that |W| = W
+    on the plane.  A call works in one array allocated for it: many small
+    temporaries per block would be freed to the top of the heap and handed
+    back to the system, and each block would fault them in again.
+    """
+
+    shapes: tuple
+    coords: tuple
+    terms: tuple
+    centres: np.ndarray
+    plane: SlicePlane
+    nonnegative: bool
+
+    @staticmethod
+    def build(field: WignerField, plane: SlicePlane) -> _PlaneKernel:
+        # _exact_terms finds the same M and u0 through M^-1.  Neither is
+        # shared with it: its values feed the exact routes, where one ulp
+        # moves the tmst_boundary sweep's output.
+        c_mat, d_vec = plane.matrix()
+        shapes, terms, centres = [], [], []
+        coords: dict = {}
+        nonnegative = True
+        for lt, mus, pbs, entries in field.plane_frames:
+            # Householder QR of [L^T C | L^T (a - d)] gives R, and R u0 for
+            # every term, in one backward-stable least-squares solve however
+            # far out the plane lies (normal equations lose kappa(L^T C) more).
+            r_mat = np.linalg.qr(lt @ np.concatenate([c_mat, mus - d_vec[:, None]], axis=1),
+                                 mode="r")
+            (r11, r12, *y1), (_, r22, *y2) = r_mat[:2].tolist()
+            u0p = [v / r22 for v in y2]
+            u0x = [(v - r12 * q) / r11 for v, q in zip(y1, u0p)]
+            diff = np.stack(plane(np.array(u0x), np.array(u0p))) - mus
+            white = lt @ diff
+            kappas = (0.5 * np.einsum("ij,ij->j", white, white)).tolist()
+            w_xs, w_ps = (c_mat.T @ pbs).tolist()
+            phi0s = np.einsum("ij,ij->j", pbs, diff).tolist()
+            shape = len(shapes)
+            shapes.append((r11 * _ROOT_HALF, r12 * _ROOT_HALF, r22 * _ROOT_HALF))
+            centres += zip(u0x, u0p)
+            for (log_norm, weight, phased, poly), kappa, w_x, w_p, phi0, ux, up, z1, z2 in zip(
+                    entries, kappas, w_xs, w_ps, phi0s, u0x, u0p, y1, y2):
+                log_amp = log_norm - kappa
+                # |phase - phi0| <= |R^-T w| |R (u - u0)|, and the term is 0.0
+                # once |R (u - u0)|^2 / 2 exceeds log_amp + _UNDERFLOW.  Only a
+                # plane whose constants are finite can show a phase flat.
+                s_x = w_x / r11
+                flat = not phased or (math.isfinite(log_amp) and abs(phi0) + math.hypot(
+                    s_x, (w_p - r12 * s_x) / r22) * math.sqrt(
+                        2.0 * max(log_amp + _UNDERFLOW, 0.0)) < _FLAT_PHASE)
+                nonnegative = nonnegative and poly is None and weight >= 0.0 and flat
+                if log_amp > -_UNDERFLOW:
+                    terms.append(_PlaneTerm(
+                        log_amp, weight < 0.0,
+                        coords.setdefault((shape, 0, z1 * _ROOT_HALF), len(coords)),
+                        coords.setdefault((shape, 1, z2 * _ROOT_HALF), len(coords)),
+                        None if flat else (w_x, w_p, phi0 - w_x * ux - w_p * up), poly))
+        return _PlaneKernel(tuple(shapes), tuple(coords), tuple(terms), np.array(centres).T,
+                            plane, nonnegative)
+
+    def __call__(self, x, p):
+        x, p = np.asarray(x, float), np.asarray(p, float)
+        if x.shape != p.shape:
+            x, p = np.broadcast_arrays(x, p)
+        shape = x.shape
+        x, p = x.ravel(), p.ravel()
+        n = x.size
+        work = np.empty((3 + 2 * len(self.shapes) + len(self.coords), n))
+        e, t, s = work[:3, :n]
+        zs = work[3:3 + 2 * len(self.shapes), :n]
+        squares = work[3 + 2 * len(self.shapes):, :n]
+        out = np.zeros(n)
+        images = None
+        try:
+            with np.errstate(over="raise"):
+                for i, (r11, r12, r22) in enumerate(self.shapes):
+                    np.multiply(x, r11, out=zs[2 * i])
+                    if r12:
+                        zs[2 * i] += np.multiply(p, r12, out=t)
+                    np.multiply(p, r22, out=zs[2 * i + 1])
+                for sq, (frame, axis, shift) in zip(squares, self.coords):
+                    np.square(np.subtract(zs[2 * frame + axis], shift, out=sq), out=sq)
+                for term in self.terms:
+                    np.add(squares[term.square_x], squares[term.square_p], out=e)
+                    np.subtract(term.log_amp, e, out=e)
+                    np.exp(e, out=e)
+                    if term.phase is not None:
+                        w_x, w_p, offset = term.phase
+                        np.multiply(x, w_x, out=t)
+                        t += offset
+                        t += np.multiply(p, w_p, out=s)
+                    if term.poly is not None:
+                        if images is None:
+                            images = self.plane(x, p)
+                        vals = term.poly.evaluate(*images)
+                        if term.phase is not None:
+                            vals = np.real(vals) * np.cos(t) - np.imag(vals) * np.sin(t)
+                        e *= np.real(vals)
+                    elif term.phase is not None:
+                        e *= np.cos(t, out=t)
+                    if term.negative:
+                        out -= e
+                    else:
+                        out += e
+        except FloatingPointError:
+            # Nodes so far out that a squared distance overflows: the block
+            # reads nan, not exp(-inf) = 0, and its integral is not finite.
+            out.fill(np.nan)
+        return out.reshape(shape)
+
+
 @lru_cache(maxsize=16)
 def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """k x k Gauss-Hermite rule for the standard normal on the plane: nodes
@@ -553,16 +763,15 @@ def integrate_slice(slc: SliceField, spec: QuadratureSpec | None = None,
     """Integrate a slice over its box (or a region), optionally of |slice|.
 
     A full-plane slice of a field with terms is exact (Gauss-Hermite in each
-    term's whitened frame), with no evaluations; for |slice| only if every
-    term is a plain Gaussian of nonnegative weight, so |W| = W, and otherwise
-    the quadrature of |slice| never reads below the exact |integral|.  Every
+    term's whitened frame), with no evaluations; for |slice| only where
+    |W| = W on the plane (SliceField.nonnegative), and otherwise the
+    quadrature of |slice| never reads below the exact |integral|.  Every
     other slice goes to quadrature on the slice's box.  A stack of planes gives
     value and error arrays, one entry per plane, and the summed evaluations.
     A value or error that is not finite raises NonConvergenceError.
     """
-    terms = slc.field.terms
-    if (terms is not None and region.kind == "full-plane"
-            and (not absolute or (_plain_gaussians(terms) and all(g[0] >= 0.0 for g in terms)))):
+    if (slc.field.terms is not None and region.kind == "full-plane"
+            and (not absolute or slc.nonnegative)):
         result = _exact_slice(slc.field, slc.plane)
     elif not slc.plane.stacked:
         result = _quadrature(slc, spec, absolute, region)
@@ -589,15 +798,28 @@ def _quadrature(slc: SliceField, spec: QuadratureSpec | None, absolute: bool,
         use = replace(use, box=slc.box)
     if not absolute:
         return integrate(slc.evaluate, region=region, spec=use)
+    kernel = slc.kernel
+    if kernel is None or region.kind != "full-plane":
+        return integrate_abs(slc.evaluate, region=region, spec=use)
+    # The sign probe's grid can step over a narrow pocket of the other sign:
+    # cat- at the p-reflection and pi/4 is negative only for |x| < 0.297 at
+    # gamma = 0.514, epsilon = 0.286, between every node of the probe and
+    # of both tensor rungs.  Each term is strongest at its centre, and the
+    # exact integral has the sign of the slice's larger mass, so a sign seen
+    # at a centre or in the integral is a sign the slice takes.
+    floor = _exact_slice(slc.field, slc.plane)
+    at_centres = slc.evaluate(*kernel.centres)
+    tol = 1e-12 * float(np.max(np.abs(at_centres)))
+    if ((at_centres.min() < -tol or floor.value < -floor.error_estimate)
+            and (at_centres.max() > tol or floor.value > floor.error_estimate)):
+        use = replace(use, rule="adaptive-subdivision")
     res = integrate_abs(slc.evaluate, region=region, spec=use)
-    if slc.field.terms is None or region.kind != "full-plane":
-        return res
+    evaluations = res.evaluations + at_centres.size
     # The true integral of |W| is at least |integral of W|, which is exact
     # here, so raising an estimate that falls below it only moves it towards
     # the truth, within the larger of the two errors.  On a nonnegative slice
     # the two integrals are equal and the exact value stands.
-    floor = _exact_slice(slc.field, slc.plane)
     if abs(floor.value) <= res.value:
-        return res
+        return replace(res, evaluations=evaluations)
     return IntegralResult(abs(floor.value), max(res.error_estimate, floor.error_estimate),
-                          res.evaluations)
+                          evaluations)

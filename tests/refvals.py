@@ -109,6 +109,63 @@ def cat_minus_c2_bracket(gamma: float, epsilon: float) -> tuple[float, float]:
     return TWO_PI * lower, TWO_PI * sum(abs(c) for c, _ in terms)
 
 
+def _erf_difference(a: float, b: float) -> float:
+    """erf(b) - erf(a) for a <= b, through erfc on a tail so nothing cancels."""
+    if a >= 0.0:
+        return math.erfc(a) - math.erfc(b)
+    if b <= 0.0:
+        return math.erfc(-b) - math.erfc(-a)
+    return math.erf(b) - math.erf(a)
+
+
+def cat_pi4_pocket(gamma: float, epsilon: float) -> float:
+    """Half-width of the negative pocket of the odd cat's slice at the
+    p-reflection and theta = pi/4, 0 when the slice is nonnegative.
+
+    The slice is e^(-p^2/2) h(x) with h proportional to
+    lobe (g(x - L) + g(x + L)) - 2 epsilon g(x), g(y) = e^(-y^2/2),
+    L = 2 sqrt2 gamma and lobe = 1 - (1 - epsilon) e^(-4 gamma^2).  So h < 0
+    exactly where cosh(L x) < r = epsilon e^(4 gamma^2) / lobe: on
+    |x| < acosh(r) / L when r > 1 (a closed-form root: no bisection is needed).
+    """
+    if epsilon <= 0.0:
+        return 0.0
+    lobe = 1.0 - (1.0 - epsilon) * math.exp(-4.0 * gamma * gamma)
+    log_r = math.log(epsilon) + 4.0 * gamma * gamma - math.log(lobe)
+    if log_r <= 0.0:
+        return 0.0
+    # acosh(r) = log r + log(1 + sqrt(1 - r^-2)), which cannot overflow.
+    return (log_r + math.log1p(math.sqrt(-math.expm1(-2.0 * log_r)))) / (
+        2.0 * math.sqrt(2.0) * gamma)
+
+
+def cat_pi4_abs(gamma: float, epsilon: float, sign: str) -> float:
+    """Exact criterion 2 (the full-plane integral of |W|) of a dephased cat at
+    the p-reflection and theta = pi/4.
+
+    The slice is e^(-p^2/2) h(x) with
+    h = [lobe (g(x - L) + g(x + L)) + 2 s epsilon g(x)] / denom, g(y) = e^(-y^2/2),
+    L = 2 sqrt2 gamma, lobe = 1 + s (1 - epsilon) e^(-4 gamma^2) and
+    denom = 8 pi^2 (1 + s e^(-4 gamma^2)).  Each piece of |h| between the
+    roots (cat_pi4_pocket) is a difference of erfs.
+    """
+    s = 1.0 if sign == "plus" else -1.0
+    q = math.exp(-4.0 * gamma * gamma)
+    denom = 8.0 * math.pi ** 2 * (1.0 + s * q)
+    lobe = 1.0 + s * (1.0 - epsilon) * q
+    shift = 2.0 * math.sqrt(2.0) * gamma
+    whole = math.sqrt(TWO_PI) * (2.0 * lobe + 2.0 * s * epsilon)
+    root = cat_pi4_pocket(gamma, epsilon) if s < 0 else 0.0
+    if root > 0.0:
+        def mass(centre):       # integral of g(x - centre) over |x| < root
+            return math.sqrt(math.pi / 2.0) * _erf_difference(
+                (-root - centre) / math.sqrt(2.0), (root - centre) / math.sqrt(2.0))
+
+        # h < 0 on the pocket: |h| = h outside it and -h inside.
+        whole -= 2.0 * (lobe * (mass(shift) + mass(-shift)) - 2.0 * epsilon * mass(0.0))
+    return math.sqrt(TWO_PI) * whole / denom
+
+
 def duan_tmsv_value(s: float) -> float:
     return 4.0 * math.exp(-2.0 * s)
 

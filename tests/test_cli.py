@@ -216,6 +216,21 @@ def test_anisotropic_werner_slice_is_no_false_certificate(order):
     assert payload["violated"] is False
 
 
+# cat- at the p-reflection and pi/4 is negative only for |x| < 0.297 here,
+# between every node of the sign probe and of both tensor rungs: the slice
+# read its exact |C1| floor, 0.11365686268 +- 6.9e-13.
+_POCKET = ("--gamma", "0.5140794916230585", "--epsilon", "0.2858728703435199")
+
+
+def test_c2_sees_a_narrow_negative_pocket():
+    proc = run_cli("evaluate", "--state", "cat-minus", *_POCKET, "--criterion", "c2",
+                   "--transform", "p-reflect", "--theta", "0.7853981633974483")
+    payload = json.loads(proc.stdout)
+    want = refvals.cat_pi4_abs(float(_POCKET[1]), float(_POCKET[3]), "minus")
+    assert abs(want - 0.11553988001) < 1e-10
+    assert abs(payload["value"] - want) <= payload["error_estimate"]
+
+
 def test_cold_tmsv_evaluate_never_imports_numpy_polynomial():
     # The Gauss-Legendre and Gauss-Hermite nodes load numpy.polynomial on
     # first use (about 5 ms of import); a closed-form tmsv call needs neither.

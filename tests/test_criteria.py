@@ -168,6 +168,47 @@ def test_fully_dephased_cat_c2_is_exact(gamma):
     assert c2.error_estimate <= 1e-12
 
 
+def test_mixed_sign_cat_slices_take_the_adaptive_rule(monkeypatch):
+    # A slice that changes sign has kinks in |W|, which the tensor rule does
+    # not resolve.  Narrow negative pockets fell between the sign probe's
+    # nodes: 25 of these 56 mixed-sign slices stayed on the tensor rule.
+    from wigner_witness import quadrature
+    real, calls = quadrature._adaptive_box, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_adaptive_box", spy)
+    mixed = 0
+    for gamma in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0, 1.2):
+        for eps in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.6, 0.8, 1.0):
+            if refvals.cat_pi4_pocket(gamma, eps) == 0.0:
+                continue
+            mixed += 1
+            calls.clear()
+            criterion2(state_to_wigner(CatParams(gamma, eps, "minus")), P_REFLECT, QUARTER)
+            assert calls, (gamma, eps)
+    assert mixed == 56
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("eps", [0.3, 1.0])
+def test_nonnegative_cat_slice_c2_is_exact(gamma, eps):
+    # On the paper's canonical slice the cat+ fringes have no phase, so every
+    # term is a nonnegative Gaussian there and C2 = C1 on the exact route.
+    w = state_to_wigner(CatParams(gamma, eps, "plus"))
+    res = integrate_slice(make_slice(w, P_REFLECT, QUARTER), absolute=True)
+    assert res.evaluations == 0
+    c1, c2 = criterion1(w, P_REFLECT, QUARTER), criterion2(w, P_REFLECT, QUARTER)
+    assert abs(c2.value - c1.value) <= 1e-12
+    assert c2.error_estimate <= 1e-12
+    assert abs(c2.value - refvals.cat_pi4_abs(gamma, eps, "plus")) <= 1e-12
+    # Off pi/4 the fringes oscillate, and |W| is left to quadrature.
+    assert make_slice(w, P_REFLECT, QUARTER).nonnegative
+    assert not make_slice(w, P_REFLECT, 0.7).nonnegative
+
+
 @pytest.mark.parametrize("labels, theta, transform, ref", refvals.FOCK_C2_CASES,
                          ids=["fock-20", "fock-22"])
 def test_fock_c2_estimate_covers_error(labels, theta, transform, ref):

@@ -1,16 +1,18 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wigner_witness import (
-    Box, FULL_PLANE, IDENTITY, NEG_IDENTITY, P_REFLECT, QuadratureSpec,
-    diagonal_slice, fock_wigner, gaussian_wigner, integrate, integrate_slice,
-    make_slice, make_transform, mixture_wigner, rectangle, reduced_mode_wigner,
-    state_to_fock, state_to_wigner, tmsv_covariance, vacuum,
+    Box, CatParams, FULL_PLANE, IDENTITY, NEG_IDENTITY, P_REFLECT, QuadratureSpec,
+    WernerParams, diagonal_slice, fock_wigner, gaussian_wigner, integrate, integrate_slice,
+    invert_transform, make_slice, make_transform, mixture_wigner, rectangle,
+    reduced_mode_wigner, state_to_fock, state_to_wigner, tmsv_covariance, vacuum,
 )
+from wigner_witness import wigner
 from wigner_witness.oracle import (
     FockDensityMatrix, beam_splitter, coherent_ket, displaced_parity_point,
     fock_ket, partial_trace,
@@ -271,15 +273,160 @@ def test_plane_box_holds_every_point_inside_the_envelope(t, theta, big_x, big_p,
 
 @pytest.mark.parametrize("absolute", [False, True])
 def test_gaussian_slice_on_a_region_takes_quadrature(absolute):
-    # Only full-plane slices have the closed form; a rectangle is integrated
-    # exactly as for the same field without its Gaussian components.
+    # Only full-plane slices have the closed form; a rectangle takes the same
+    # quadrature as the field without its Gaussian components.  The plane
+    # kernel rounds differently from the phase-space evaluator, so the values
+    # agree to rounding, not bit for bit.
     region = rectangle(-2, 2, -1, 1)
     res = integrate_slice(make_slice(_PLANE_FIELD, P_REFLECT, 0.7),
                           absolute=absolute, region=region)
     forced = integrate_slice(make_slice(replace(_PLANE_FIELD, terms=None), P_REFLECT, 0.7),
                              absolute=absolute, region=region)
     assert res.evaluations > 0
-    assert res == forced
+    assert res.evaluations == forced.evaluations
+    assert abs(res.value - forced.value) <= 1e-14 * (1.0 + abs(forced.value))
+
+
+# -- the plane kernel --------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+_kernel_fields = st.one_of(
+    st.builds(lambda gamma, eps, sign: state_to_wigner(CatParams(gamma, eps, sign)),
+              st.floats(0.05, 8.0), st.floats(0.0, 1.0), st.sampled_from(["plus", "minus"])),
+    st.builds(lambda bell, eps: state_to_wigner(WernerParams(bell, eps)),
+              st.sampled_from(["phi+", "psi+"]), st.floats(0.0, 1.0)),
+    st.just(_PLANE_FIELD))
+
+
+def _anisotropic(offset):
+    return st.builds(
+        lambda phi1, phi2, log_t, reflect, x0, p0: symplectic_from_params(
+            SymplecticParam(phi1, phi2, math.exp(log_t), reflect), x0, p0),
+        st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi), st.floats(-5.0, 5.0),
+        st.booleans(), st.floats(-offset, offset), st.floats(-offset, offset))
+
+
+def _far_plane(t, theta, centre, jitter):
+    """A plane through the field at u near centre, |centre| <= 1e3, whose shifts
+    and transform offset are of the same size."""
+    a, b = math.cos(theta), math.sin(theta)
+    inv = invert_transform(t)           # inv.x0, inv.p0 = -T^-1 (x0, p0)
+    return SlicePlane(t, a, (jitter[0] - a * centre[0], jitter[1] - a * centre[1]), b,
+                      (jitter[2] - b * centre[0] + inv.x0, jitter[3] - b * centre[1] + inv.p0))
+
+
+def _edge_plane(t, theta):
+    return SlicePlane(t, math.cos(theta), out_scale=math.sin(theta))
+
+
+_far_planes = st.builds(_far_plane, _anisotropic(1e3), _thetas,
+                        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                        st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+_edge_planes = st.builds(_edge_plane, _anisotropic(3.0), st.one_of(
+    st.floats(1e-6, 1e-3), st.floats(math.pi / 2 - 1e-3, math.pi / 2 + 1e-3)))
+
+
+def _assert_kernel_matches_field(field, plane):
+    """The plane kernel against field.evaluate(*plane(x, p)) at 16 points around
+    each term's centre, |R (u - u0)| <= 3 sqrt 2 with R^T R = C^T C.
+
+    The two read the same nodes through different arithmetic.  Each rounds
+    the plane's images at the size S of its largest intermediate: the nodes
+    times the plane's scales, and its shifts.  An image error delta moves a
+    term's logarithm by at most G delta, with G = 5 |P|^(1/2) + |P b| bounding
+    |P (xi - a)| + |P b| near the term, and the evaluator's exponents have
+    terms of size E = (|a|^2 + |b|^2)/2 (4 gamma^2 for the cat lobes).  So
+    both are within a few eps (1 + E + S G) of the field, relative to its
+    largest value there.  On 3,600 random planes the largest error was 14x
+    eps (1 + E + S G), at theta within 1e-3 of pi/2; 64x is the bound.
+    """
+    slc = SliceField(field, plane)
+    c_mat, _ = plane.matrix()
+    z = np.random.default_rng(0).uniform(-3.0, 3.0, (2, 16))
+    steps = np.linalg.solve(np.linalg.qr(c_mat)[1], z)
+    u = np.concatenate([centre[:, None] + steps for centre in slc.kernel.centres.T], axis=1)
+    want = field.evaluate(*plane(u[0], u[1]))
+    got = slc.evaluate(u[0], u[1])
+    t = plane.t
+    t_norm = np.linalg.norm(t.matrix, 2)
+    size = (np.max(np.hypot(u[0], u[1])) * (abs(plane.a_scale)
+                                            + abs(plane.out_scale * plane.b_scale) * t_norm)
+            + math.hypot(*plane.a_shift)
+            + abs(plane.out_scale) * (t_norm * math.hypot(*plane.b_shift) + math.hypot(t.x0, t.p0)))
+    means = [np.asarray(mean) for _, mean, _, _ in field.terms]
+    exponent = max(0.5 * float(np.sum(np.abs(mean) ** 2)) for mean in means)
+    slope = max(5.0 * math.sqrt(np.linalg.norm(prec, 2)) + float(np.linalg.norm(prec @ mean.imag))
+                for (prec, _, _, _), mean in zip(field.precisions, means))
+    tol = 64.0 * _EPS * (1.0 + exponent + size * slope)
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_kernel_fields, _transforms, _thetas, _offsets, _offsets)
+def test_plane_kernel_matches_field_on_ordinary_planes(field, t, theta, big_x, big_p):
+    for slc in _three_slices(field, t, theta, big_x, big_p):
+        _assert_kernel_matches_field(field, slc.plane)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_kernel_fields, _edge_planes)
+def test_plane_kernel_matches_field_at_edge_angles(field, plane):
+    # theta within 1e-3 of 0 or pi/2 and |log t| <= 5: M = C^T C has a
+    # condition number up to about 1e10.
+    _assert_kernel_matches_field(field, plane)
+
+
+def _exact_centre(plane, prec, mean):
+    """The point of the plane nearest to mean in prec's metric, from the normal
+    equations C^T P C u = C^T P (mean - d) in exact rational arithmetic."""
+    c_mat, d_vec = plane.matrix()
+    c = [[Fraction(v) for v in row] for row in c_mat.tolist()]
+    p = [[Fraction(v) for v in row] for row in prec.tolist()]
+    r = [Fraction(m) - Fraction(d) for m, d in zip(mean.tolist(), d_vec.tolist())]
+    pc = [[sum(p[i][k] * c[k][j] for k in range(4)) for j in range(2)] for i in range(4)]
+    m = [[sum(c[k][i] * pc[k][j] for k in range(4)) for j in range(2)] for i in range(2)]
+    v = [sum(pc[k][i] * r[k] for k in range(4)) for i in range(2)]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return np.array([float((v[0] * m[1][1] - v[1] * m[0][1]) / det),
+                     float((m[0][0] * v[1] - m[1][0] * v[0]) / det)])
+
+
+@settings(derandomize=True, deadline=None)
+@given(_kernel_fields, _far_planes)
+def test_plane_kernel_matches_field_on_far_planes(field, plane):
+    # Shifts and transform offsets up to 1e3, with |log t| <= 5.
+    _assert_kernel_matches_field(field, plane)
+    # Every centre is a backward-stable least-squares solution: within a few
+    # eps of the exact one in the plane's metric, scaled by the size of the
+    # problem.  A centre from the normal equations, solve(M, v), is off by up
+    # to kappa(L^T C) times that and fails here.
+    c_mat, d_vec = plane.matrix()
+    centres = SliceField(field, plane).kernel.centres
+    for (prec, _, mu, _) in field.precisions:
+        exact = _exact_centre(plane, prec, mu)
+        m_mat = c_mat.T @ prec @ c_mat
+        gaps = centres - exact[:, None]
+        gap = math.sqrt(min(float(g @ m_mat @ g) for g in gaps.T))
+        scale = (np.linalg.norm(c_mat, 2) * np.linalg.norm(exact) + np.linalg.norm(d_vec)
+                 + np.linalg.norm(mu)) * math.sqrt(np.linalg.norm(prec, 2))
+        assert gap <= 4.0 * _EPS * scale
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_cosine_skip_changes_no_value(gamma, sign, monkeypatch):
+    # At the p-reflection and pi/4 the cat fringes' phase gradient is one
+    # ulp of cos(pi/4) - sin(pi/4) times 2 gamma, not 0; dropping the cosine
+    # there must leave every value bit for bit.
+    w = state_to_wigner(CatParams(gamma, 0.6, sign))
+    skipped = make_slice(w, P_REFLECT, math.pi / 4)
+    assert all(term.phase is None for term in skipped.kernel.terms)
+    reach = 2.0 * math.sqrt(2.0) * gamma + 12.0
+    gx, gp = np.meshgrid(np.linspace(-reach, reach, 301), np.linspace(-12.0, 12.0, 201))
+    monkeypatch.setattr(wigner, "_FLAT_PHASE", 0.0)
+    full = make_slice(w, P_REFLECT, math.pi / 4)
+    assert any(term.phase is not None for term in full.kernel.terms)
+    assert np.array_equal(full.evaluate(gx, gp), skipped.evaluate(gx, gp))
 
 
 def _term_field(mean, cov, poly):
@@ -297,6 +444,20 @@ def _term_field(mean, cov, poly):
     env = Envelope(center=mean.real, halfwidth=10.0)
     return WignerField(evaluate=evaluate, backend="closed-form", envelope=env,
                        terms=((1.0, mean, cov, poly),))
+
+
+@pytest.mark.parametrize("mean", [[0.3, -0.2, 0.5, 0.1], [0.3, 0.8j, -0.2, 0.5 - 0.6j]],
+                         ids=["real", "complex"])
+def test_plane_kernel_takes_complex_polynomials(mean):
+    # W = Re poly N with a complex-valued poly: the kernel forms
+    # Re(poly e^(i phase)) from the term's phase on the plane.
+    poly = Poly(2, lambda xa, pa, xb, pb: (xa + 1j * pb) ** 2 + 0.5 - 1j * pa)
+    w = _term_field(mean, tmsv_covariance(0.3).cov + 0.2 * np.eye(4), poly)
+    t = make_transform(0.9, 0.4, -0.3, 0.977777777777778, x0=0.3, p0=-0.2)
+    u = np.random.default_rng(1).uniform(-4.0, 4.0, (2, 256))
+    for slc in (make_slice(w, t, 0.6), diagonal_slice(w, t)):
+        want = w.evaluate(*slc.plane(*u))
+        assert np.max(np.abs(slc.evaluate(*u) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mean", [[0.3, -0.2, 0.5, 0.1], [0.3, 0.8j, -0.2, 0.5 - 0.6j]],
